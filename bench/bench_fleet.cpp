@@ -12,7 +12,8 @@
  *  2. Fleet scale — 64 sessions live at once over one image (the
  *     acceptance floor for simulation-as-a-service density).
  *  3. Job latency — p50/p99 of submitSync round trips with concurrent
- *     tenants hammering the scheduler.
+ *     tenants hammering the scheduler, then the p50 again with every
+ *     job asking for a post-job whole-RAM CRC (report-only).
  *
  * Writes BENCH_fleet.json.
  */
@@ -133,29 +134,40 @@ main(int argc, char **argv)
                 {fleet::ArgSpec::Kind::BufIndex, 2},
                 {fleet::ArgSpec::Kind::I32, n}};
 
-    std::vector<double> lat_ms(tenants * jobs_per_tenant);
-    std::vector<std::thread> clients;
-    for (unsigned c = 0; c < tenants; ++c) {
-        clients.emplace_back([&, c] {
-            fleet::JobRequest mine = req;
-            mine.tenant = "bench-" + std::to_string(c);
-            for (unsigned j = 0; j < jobs_per_tenant; ++j) {
-                bench::Timer jt;
-                fleet::JobResultMsg m = server.submitSync(mine);
-                lat_ms[c * jobs_per_tenant + j] = jt.seconds() * 1e3;
-                if (m.status != fleet::JobStatus::Ok)
-                    std::fprintf(stderr, "job failed: %s\n",
-                                 m.detail.c_str());
-            }
-        });
-    }
-    for (std::thread &th : clients)
-        th.join();
-    std::sort(lat_ms.begin(), lat_ms.end());
+    // One round: every tenant submits its jobs concurrently; returns
+    // the sorted round-trip latencies.
+    auto round = [&](bool want_ram_crc) {
+        std::vector<double> lat_ms(tenants * jobs_per_tenant);
+        std::vector<std::thread> clients;
+        for (unsigned c = 0; c < tenants; ++c) {
+            clients.emplace_back([&, c] {
+                fleet::JobRequest mine = req;
+                mine.tenant = "bench-" + std::to_string(c);
+                mine.wantRamCrc = want_ram_crc;
+                for (unsigned j = 0; j < jobs_per_tenant; ++j) {
+                    bench::Timer jt;
+                    fleet::JobResultMsg m = server.submitSync(mine);
+                    lat_ms[c * jobs_per_tenant + j] = jt.seconds() * 1e3;
+                    if (m.status != fleet::JobStatus::Ok)
+                        std::fprintf(stderr, "job failed: %s\n",
+                                     m.detail.c_str());
+                }
+            });
+        }
+        for (std::thread &th : clients)
+            th.join();
+        std::sort(lat_ms.begin(), lat_ms.end());
+        return lat_ms;
+    };
+    std::vector<double> lat_ms = round(false);
     double p50 = lat_ms[lat_ms.size() / 2];
     double p99 = lat_ms[std::min(lat_ms.size() - 1,
                                  lat_ms.size() * 99 / 100)];
     fleet::FleetStats fs = server.stats();
+    // Report-only: what a post-job whole-RAM CRC adds to a p50 job.
+    std::vector<double> crc_ms = round(true);
+    double crc_p50 = crc_ms[crc_ms.size() / 2];
+    double crc_overhead = p50 > 0 ? crc_p50 / p50 - 1.0 : 0;
     fleet::PoolStats ps = pool.stats();
 
     std::printf("%-34s %10.2f ms (%zu-byte image)\n",
@@ -174,6 +186,9 @@ main(int argc, char **argv)
     std::printf("%-34s %7.2f / %.2f ms (%zu jobs, %u tenants)\n",
                 "job latency p50 / p99:", p50, p99, lat_ms.size(),
                 tenants);
+    std::printf("%-34s %10.2f ms (+%.0f%% over a plain job)\n",
+                "job p50 with whole-RAM CRC:", crc_p50,
+                crc_overhead * 100);
 
     bench::Report report("fleet", opt.scale);
     json::Value &m = report.metrics();
@@ -190,6 +205,8 @@ main(int argc, char **argv)
     m.set("jobs_run", json::Value(fs.jobsCompleted));
     m.set("job_p50_ms", json::Value(p50));
     m.set("job_p99_ms", json::Value(p99));
+    m.set("ram_crc_job_ms", json::Value(crc_p50));
+    m.set("ram_crc_overhead", json::Value(crc_overhead));
     m.set("pool_spawns", json::Value(ps.spawns));
     m.set("pool_recycles", json::Value(ps.recycles));
     report.gate("warm_spawn_speedup", 5.0, speedup, true);

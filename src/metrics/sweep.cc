@@ -110,10 +110,12 @@ classify(const std::string &key)
     if (key.rfind("host.", 0) == 0 || key.rfind("gate.", 0) == 0)
         return Rule::Provenance;
 
-    // Wall-clock deltas and host-noise estimates are host
-    // measurements even when shaped like ratios ("wall_overhead",
-    // "noise_floor_overhead"); never gate them.
-    if (contains(key, "wall_") || contains(key, "noise"))
+    // Wall-clock deltas, host-noise estimates and quotients of two
+    // host timings are host measurements even when shaped like ratios
+    // ("wall_overhead", "noise_floor_overhead", "validated_over_plain");
+    // never gate them.
+    if (contains(key, "wall_") || contains(key, "noise") ||
+        contains(key, "_over_"))
         return Rule::Timing;
 
     // Ratios divide the host out; gate them before the timing

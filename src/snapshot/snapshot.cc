@@ -1,5 +1,7 @@
 #include "snapshot/snapshot.h"
 
+#include <array>
+#include <bit>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
@@ -16,23 +18,49 @@ snapshotError(const char *fmt, ...)
     throw SnapshotError("snapshot: " + msg);
 }
 
+namespace {
+
+// Slicing-by-8 reads input as little-endian words, as every format here
+// already assumes of the host.
+static_assert(std::endian::native == std::endian::little);
+
+/** Slicing-by-8 tables for the reflected IEEE polynomial: row 0 is the
+ *  classic byte-at-a-time table, and row k maps a byte to its CRC
+ *  contribution once k further zero bytes have been shifted through. */
+constexpr std::array<std::array<uint32_t, 256>, 8> kCrcTable = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+        uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (size_t k = 1; k < 8; ++k)
+        for (uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+    return t;
+}();
+
+} // namespace
+
 uint32_t
 crc32(const void *data, size_t len)
 {
-    static const auto table = [] {
-        std::vector<uint32_t> t(256);
-        for (uint32_t i = 0; i < 256; ++i) {
-            uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    uint32_t crc = 0xffffffffu;
+    const auto &t = kCrcTable;
     const uint8_t *p = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < len; ++i)
-        crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+    uint32_t crc = 0xffffffffu;
+    for (; len >= 8; p += 8, len -= 8) {
+        uint32_t lo, hi;
+        std::memcpy(&lo, p, 4);
+        std::memcpy(&hi, p + 4, 4);
+        lo ^= crc;
+        crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+              t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+              t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+    }
+    for (; len > 0; --len, ++p)
+        crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
     return crc ^ 0xffffffffu;
 }
 

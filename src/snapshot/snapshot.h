@@ -45,7 +45,13 @@ class SnapshotError : public SimError
 [[noreturn]] void snapshotError(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over @p len bytes. */
+/** CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over @p len
+ *  bytes at any alignment.  This is the simulator's one CRC-32 kernel
+ *  (slicing-by-8); its output equals the byte-at-a-time definition.
+ *  It checks BSNP chunks (the MEM chunk's CRC also keys the fleet's
+ *  image remap), BRPL events and FLT* frames, and computes every RAM
+ *  hash: the Recorder's per-page shadow and its whole-RAM fingerprint
+ *  CRC, and the fleet's post-job ramCrc. */
 uint32_t crc32(const void *data, size_t len);
 
 /** Builds a chunk tag from a 4-character name, e.g. makeTag("CPU "). */

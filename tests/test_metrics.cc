@@ -348,12 +348,14 @@ TEST(SweepClassify, RoutesKeysToRules)
     EXPECT_EQ(Rule::Timing,
               classify("kernels.mad_loop.wall_overhead"));
     EXPECT_EQ(Rule::Timing, classify("noise_floor_overhead"));
+    EXPECT_EQ(Rule::Timing, classify("validated_over_plain"));
 
     EXPECT_EQ(Rule::Ratio, classify("warm_spawn_speedup"));
     EXPECT_EQ(Rule::Ratio, classify("tlb.hit_rate"));
     EXPECT_EQ(Rule::Ratio, classify("cpu.instret_agree"));
     EXPECT_EQ(Rule::Ratio,
               classify("kernels.mad_loop.modeled_overhead"));
+    EXPECT_EQ(Rule::Ratio, classify("ram_crc_overhead"));
 
     EXPECT_EQ(Rule::Schedule, classify("sched.steals"));
     EXPECT_EQ(Rule::Schedule, classify("pool_spawns"));

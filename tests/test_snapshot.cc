@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -150,10 +151,63 @@ TEST(SnapshotFormat, ReaderIsBoundsChecked)
     EXPECT_THROW(a.raw(1u << 20), SnapshotError);
 }
 
+/** Table-free bitwise CRC-32 (IEEE, reflected 0xEDB88320): the
+ *  byte-wise definition the slicing-by-8 kernel must reproduce. */
+uint32_t
+crc32Bitwise(const uint8_t *p, size_t len)
+{
+    uint32_t crc = 0xffffffffu;
+    for (size_t i = 0; i < len; ++i) {
+        crc ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc >> 1) ^ (0xedb88320u & (0u - (crc & 1)));
+    }
+    return crc ^ 0xffffffffu;
+}
+
+std::vector<uint8_t>
+seededBytes(size_t len, uint32_t seed)
+{
+    std::mt19937 rng(seed);
+    std::vector<uint8_t> v(len);
+    for (uint8_t &b : v)
+        b = static_cast<uint8_t>(rng());
+    return v;
+}
+
 TEST(SnapshotFormat, Crc32KnownVector)
 {
     // The classic IEEE 802.3 check value.
     EXPECT_EQ(snapshot::crc32("123456789", 9), 0xcbf43926u);
+    EXPECT_EQ(crc32Bitwise(reinterpret_cast<const uint8_t *>("123456789"),
+                           9),
+              0xcbf43926u);
+
+    // Every length 0..512 at every start offset 0..7, so each length
+    // meets every word alignment and every tail length.
+    std::vector<uint8_t> small = seededBytes(512 + 8, 1);
+    for (size_t off = 0; off < 8; ++off) {
+        for (size_t len = 0; len <= 512; ++len) {
+            const uint8_t *p = small.data() + off;
+            ASSERT_EQ(snapshot::crc32(p, len), crc32Bitwise(p, len))
+                << "offset " << off << " length " << len;
+        }
+    }
+
+    // Whole buffers the size of what the callers hash.
+    struct Case
+    {
+        const char *name;
+        std::vector<uint8_t> bytes;
+    };
+    const Case cases[] = {
+        {"1 MiB seeded random", seededBytes(1u << 20, 2)},
+        {"4 KiB zero page", std::vector<uint8_t>(4096, 0)},
+    };
+    for (const Case &c : cases)
+        EXPECT_EQ(snapshot::crc32(c.bytes.data(), c.bytes.size()),
+                  crc32Bitwise(c.bytes.data(), c.bytes.size()))
+            << c.name;
 }
 
 // ---------------------------------------------------------------------
