@@ -12,8 +12,11 @@
  *  2. Fleet scale — 64 sessions live at once over one image (the
  *     acceptance floor for simulation-as-a-service density).
  *  3. Job latency — p50/p99 of submitSync round trips with concurrent
- *     tenants hammering the scheduler, then the p50 again with every
- *     job asking for a post-job whole-RAM CRC (report-only).
+ *     tenants hammering the scheduler, then a mixed round in which
+ *     every other job asks for a post-job whole-RAM CRC: the CRC
+ *     jobs' p50 over the plain jobs' p50 in that same round is
+ *     ram_crc_overhead (report-only), so host drift between rounds
+ *     does not enter the quotient.
  *
  * Writes BENCH_fleet.json.
  */
@@ -134,20 +137,25 @@ main(int argc, char **argv)
                 {fleet::ArgSpec::Kind::BufIndex, 2},
                 {fleet::ArgSpec::Kind::I32, n}};
 
-    // One round: every tenant submits its jobs concurrently; returns
-    // the sorted round-trip latencies.
-    auto round = [&](bool want_ram_crc) {
-        std::vector<double> lat_ms(tenants * jobs_per_tenant);
+    // One round: every tenant submits @p jobs jobs concurrently; job j
+    // of tenant c asks for the RAM CRC when want_crc(c, j).  Returns the
+    // sorted round-trip latencies of the plain and of the CRC jobs.
+    struct Latencies
+    {
+        std::vector<double> plain, crc;
+    };
+    auto round = [&](unsigned jobs, auto want_crc) {
+        std::vector<double> lat_ms(tenants * jobs);
         std::vector<std::thread> clients;
         for (unsigned c = 0; c < tenants; ++c) {
             clients.emplace_back([&, c] {
                 fleet::JobRequest mine = req;
                 mine.tenant = "bench-" + std::to_string(c);
-                mine.wantRamCrc = want_ram_crc;
-                for (unsigned j = 0; j < jobs_per_tenant; ++j) {
+                for (unsigned j = 0; j < jobs; ++j) {
+                    mine.wantRamCrc = want_crc(c, j);
                     bench::Timer jt;
                     fleet::JobResultMsg m = server.submitSync(mine);
-                    lat_ms[c * jobs_per_tenant + j] = jt.seconds() * 1e3;
+                    lat_ms[c * jobs + j] = jt.seconds() * 1e3;
                     if (m.status != fleet::JobStatus::Ok)
                         std::fprintf(stderr, "job failed: %s\n",
                                      m.detail.c_str());
@@ -156,18 +164,31 @@ main(int argc, char **argv)
         }
         for (std::thread &th : clients)
             th.join();
-        std::sort(lat_ms.begin(), lat_ms.end());
-        return lat_ms;
+        Latencies l;
+        for (unsigned c = 0; c < tenants; ++c)
+            for (unsigned j = 0; j < jobs; ++j)
+                (want_crc(c, j) ? l.crc : l.plain)
+                    .push_back(lat_ms[c * jobs + j]);
+        std::sort(l.plain.begin(), l.plain.end());
+        std::sort(l.crc.begin(), l.crc.end());
+        return l;
     };
-    std::vector<double> lat_ms = round(false);
+    std::vector<double> lat_ms =
+        round(jobs_per_tenant, [](unsigned, unsigned) { return false; })
+            .plain;
     double p50 = lat_ms[lat_ms.size() / 2];
     double p99 = lat_ms[std::min(lat_ms.size() - 1,
                                  lat_ms.size() * 99 / 100)];
     fleet::FleetStats fs = server.stats();
-    // Report-only: what a post-job whole-RAM CRC adds to a p50 job.
-    std::vector<double> crc_ms = round(true);
-    double crc_p50 = crc_ms[crc_ms.size() / 2];
-    double crc_overhead = p50 > 0 ? crc_p50 / p50 - 1.0 : 0;
+    // Report-only: what a post-job whole-RAM CRC adds to a p50 job,
+    // against plain jobs interleaved with the CRC jobs (at any moment
+    // half the tenants are running each kind).
+    Latencies mixed = round(8 * jobs_per_tenant, [](unsigned c, unsigned j) {
+        return (c + j) % 2 == 1;
+    });
+    double crc_p50 = mixed.crc[mixed.crc.size() / 2];
+    double mixed_p50 = mixed.plain[mixed.plain.size() / 2];
+    double crc_overhead = mixed_p50 > 0 ? crc_p50 / mixed_p50 - 1.0 : 0;
     fleet::PoolStats ps = pool.stats();
 
     std::printf("%-34s %10.2f ms (%zu-byte image)\n",

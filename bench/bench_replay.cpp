@@ -9,8 +9,10 @@
  * pages with memcpy and drives the GPU directly, so it skips the
  * simulated CPU entirely; the gate enforces the >=5x
  * replay-vs-full-system speedup target.  Validated replay (re-record +
- * fingerprint diff) is reported alongside, with its cost over plain
- * replay as validated_over_plain (report-only).
+ * fingerprint diff) is timed the same way, and its cost over plain
+ * replay, validated_over_plain, is gated at <=10x: with incremental
+ * RAM hashing a validated chain pays for the pages it changed, not for
+ * all of RAM.
  *
  * Writes BENCH_replay.json.
  */
@@ -154,28 +156,29 @@ main(int argc, char **argv)
     replay::Log log = replay::Log::fromBytes(std::move(bytes));
     double load_s = t.seconds();
 
-    // Timed: fast replay (inputs only, no validation scans).
+    // Timed, interleaved best-of-N so a burst of host noise hits both
+    // sides of validated_over_plain: fast replay (inputs only) and
+    // validated replay (re-record + fingerprint diff).
+    const int replay_reps = 5;
     replay::ReplayOptions fast;
     fast.validate = false;
     fast.hostThreads = 2;
-    replay::ReplayResult rf;
-    double replay_s = 1e30;
-    for (int i = 0; i < reps; ++i) {
+    replay::ReplayOptions val;
+    val.hostThreads = 2;
+    replay::ReplayResult rf, rv;
+    double replay_s = 1e30, replay_val_s = 1e30;
+    for (int i = 0; i < replay_reps; ++i) {
         t.reset();
         rf = replay::replay(log, fast);
         replay_s = std::min(replay_s, t.seconds());
-    }
-
-    // Timed: validated replay (re-record + fingerprint diff).
-    replay::ReplayOptions val;
-    val.hostThreads = 2;
-    t.reset();
-    replay::ReplayResult rv = replay::replay(log, val);
-    double replay_val_s = t.seconds();
-    if (!rv.ok) {
-        std::fprintf(stderr, "validated replay DIVERGED: %s\n",
-                     rv.divergence.c_str());
-        return 1;
+        t.reset();
+        rv = replay::replay(log, val);
+        replay_val_s = std::min(replay_val_s, t.seconds());
+        if (!rv.ok) {
+            std::fprintf(stderr, "validated replay DIVERGED: %s\n",
+                         rv.divergence.c_str());
+            return 1;
+        }
     }
     if (rf.chains != static_cast<size_t>(chains) ||
         rv.chains != static_cast<size_t>(chains)) {
@@ -184,7 +187,7 @@ main(int argc, char **argv)
     }
 
     double speedup = replay_s > 0 ? full_s / replay_s : 0;
-    // Report-only: the cost of validation, dominated by RAM hashing.
+    // The cost of validation: re-recording and comparing the log.
     double validated_over_plain = replay_s > 0 ? replay_val_s / replay_s : 0;
 
     std::printf("%-36s %10d\n", "chains:", chains);
@@ -195,8 +198,9 @@ main(int argc, char **argv)
     std::printf("%-36s %10.2f ms\n", "log parse+validate:", load_s * 1e3);
     std::printf("%-36s %10.2f ms\n", "replay (inputs only):",
                 replay_s * 1e3);
-    std::printf("%-36s %10.2f ms (%.0fx plain)\n", "replay (validated):",
-                replay_val_s * 1e3, validated_over_plain);
+    std::printf("%-36s %10.2f ms (%.1fx plain, target <= 10x)\n",
+                "replay (validated):", replay_val_s * 1e3,
+                validated_over_plain);
     std::printf("%-36s %10.1f KiB\n", "log size:", log_bytes / 1024.0);
     std::printf("%-36s %10.1fx (target >= 5x)\n", "replay speedup:",
                 speedup);
@@ -220,6 +224,11 @@ main(int argc, char **argv)
     if (speedup < 5.0) {
         std::fprintf(stderr,
                      "FAIL: replay speedup below 5x target\n");
+        return 1;
+    }
+    if (validated_over_plain > 10.0) {
+        std::fprintf(stderr,
+                     "FAIL: validated replay above 10x plain replay\n");
         return 1;
     }
     return 0;

@@ -105,8 +105,8 @@ struct JobRequest
     std::vector<WriteSpec> writes;
     std::vector<ReadSpec> reads;
     bool wantRamCrc = false;  ///< Ask for a post-job guest-RAM CRC32
-                              ///< (determinism evidence; costs a full
-                              ///< RAM scan).
+                              ///< (determinism evidence; rehashes only
+                              ///< the pages the job dirtied).
 
     void serialize(snapshot::ChunkWriter &w) const;
 

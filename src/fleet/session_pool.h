@@ -16,8 +16,8 @@
  *    pages are shared by every pooled session, so N sessions cost far
  *    less than N full RAM copies and spawn skips the RAM memcpy;
  *  - released sessions are *recycled* in place (Session::
- *    resetFromSnapshot): the expensive System — GPU worker threads,
- *    decode caches — survives, and the restore costs O(dirtied
+ *    resetFromSnapshot): the expensive System — GPU pool threads (if
+ *    hostThreads > 1), decode caches — survives, and the restore costs O(dirtied
  *    state), which BENCH_fleet.json shows is >= 5x cheaper than a
  *    cold boot.
  *

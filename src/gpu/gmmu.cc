@@ -55,10 +55,18 @@ GpuMmu::walkFill(uint32_t va, bool write, GpuTlb &tlb)
     e.writable = (pte0 & kGpuPteWrite) != 0;
     // Cache the host pointer only when the whole frame is RAM-backed;
     // otherwise accesses through this entry take the physical-address
-    // slow path with its per-access bounds check.
+    // slow path with its per-access bounds check.  A writable frame is
+    // marked dirty here, once per fill: the entry cannot outlive the
+    // job (TLBs flush at every job boundary), so stores and atomics that
+    // hit it need no marking of their own.  A read-only frame's pointer
+    // is never written through: lookup() refuses stores to it.
     Addr frame = static_cast<Addr>(e.ppn) << kGpuPageShift;
-    e.host = mem_.contains(frame, kGpuPageBytes) ? mem_.hostPtr(frame)
-                                                 : nullptr;
+    if (!mem_.contains(frame, kGpuPageBytes))
+        e.host = nullptr;
+    else if (e.writable)
+        e.host = mem_.writablePtr(frame, kGpuPageBytes);
+    else
+        e.host = const_cast<uint8_t *>(mem_.hostPtr(frame));
 
     if (write && !e.writable)
         return nullptr;

@@ -25,6 +25,13 @@
  * compare their TLB's epoch lazily at clause boundaries and flush only
  * when stale, so there is no cross-thread flush coordination.
  *
+ * Dirty tracking: a walk that fills an entry for a writable frame takes
+ * its pointer from PhysMem::writablePtr, which marks the frame dirty.
+ * Stores and atomics that hit the entry later mark nothing, which is
+ * sound because the device bumps the epoch at every job boundary and
+ * PhysMem::pageCrcs() runs only between jobs: no entry filled before a
+ * hash is written through after it.
+ *
  * Concurrency model (DESIGN.md §5f): GpuMmu itself is a *stateless*
  * walker over guest memory plus two atomics (root, epoch) — it is safe
  * to call translate()/lookup() from any number of threads as long as
@@ -82,6 +89,10 @@ struct GpuTlb
         uint8_t *host = nullptr;  ///< Host pointer to the frame base, or
                                   ///< null if the frame is not entirely
                                   ///< inside RAM (slow path per access).
+                                  ///< Written through only when
+                                  ///< `writable`: it then came from
+                                  ///< PhysMem::writablePtr, which marked
+                                  ///< the frame dirty at fill time.
         bool writable = false;
     };
 

@@ -55,10 +55,17 @@ GpuDevice::GpuDevice(PhysMem &mem, GpuConfig cfg, IrqFn irq)
     jmBuf_ = tracer_.registerThread("gpu-jm");
     executors_.resize(cfg_.hostThreads);
     deques_ = std::make_unique<SliceDeque[]>(cfg_.hostThreads);
-    workers_.reserve(cfg_.hostThreads);
-    for (unsigned i = 0; i < cfg_.hostThreads; ++i)
+    // Worker 0 is whichever thread dispatches the job (see runJob), so
+    // the pool holds hostThreads - 1 threads.
+    if (tracer_.enabled())
+        executors_[0].setTrace(tracer_.registerThread("gpu-worker-0"));
+    workers_.reserve(cfg_.hostThreads - 1);
+    for (unsigned i = 1; i < cfg_.hostThreads; ++i)
         workers_.emplace_back([this, i] { workerMain(i); });
-    jmThread_ = std::thread([this] { jmMain(); });
+    // Under syncSubmit chains run on the submitting thread, so there
+    // is no Job Manager thread to start.
+    if (!cfg_.syncSubmit)
+        jmThread_ = std::thread([this] { jmMain(); });
 }
 
 GpuDevice::~GpuDevice()
@@ -72,7 +79,8 @@ GpuDevice::~GpuDevice()
         sim::LockGuard g(poolLock_);
         poolCv_.notify_all();
     }
-    jmThread_.join();
+    if (jmThread_.joinable())
+        jmThread_.join();
     for (std::thread &w : workers_)
         w.join();
 }
@@ -118,10 +126,11 @@ GpuDevice::mmioRead(Addr offset)
       case kRegAsFaultAddress: return faultAddress_;
       case kRegScCount:        return cfg_.numCores;
       case kRegScThreads:
-        // Runtime-effective pool size: the threads that actually exist,
-        // which reflects auto-detection (hostThreads = 0), not the
-        // value the configuration was constructed with.
-        return static_cast<uint32_t>(workers_.size());
+        // Runtime-effective worker count (pool threads plus the
+        // chain-execution thread as worker 0), which reflects
+        // auto-detection (hostThreads = 0), not the value the
+        // configuration was constructed with.
+        return static_cast<uint32_t>(executors_.size());
       default:                 return 0;
     }
 }
@@ -601,7 +610,7 @@ GpuDevice::runJob(const JobDescriptor &desc)
     ctx.mem = &mem_;
     ctx.shaderCache = &shaderCache_;
     ctx.deques = deques_.get();
-    ctx.numWorkers = static_cast<unsigned>(workers_.size());
+    ctx.numWorkers = static_cast<unsigned>(executors_.size());
     ctx.collect = cfg_.instrument;
     ctx.fastPath = cfg_.fastPath;
     for (int d = 0; d < 3; ++d)
@@ -626,13 +635,18 @@ GpuDevice::runJob(const JobDescriptor &desc)
     // workers until the completion barrier.
     distributeSlices(ctx.totalGroups);
 
-    // Dispatch to the worker pool.
-    {
-        sim::UniqueLock l(poolLock_);
+    // Dispatch to the worker pool, and run worker 0's share on this
+    // thread: a job at hostThreads = 1 then needs no thread hand-off.
+    if (!workers_.empty()) {
+        sim::LockGuard l(poolLock_);
         activeJob_ = &ctx;
         workersDone_ = 0;
         jobSeq_++;
         poolCv_.notify_all();
+    }
+    runWorkerShare(0, &ctx);
+    if (!workers_.empty()) {
+        sim::UniqueLock l(poolLock_);
         while (workersDone_ != workers_.size())
             poolDoneCv_.wait(l);
         activeJob_ = nullptr;
@@ -714,7 +728,7 @@ GpuDevice::runJob(const JobDescriptor &desc)
 void
 GpuDevice::distributeSlices(uint32_t total_groups)
 {
-    const unsigned nw = static_cast<unsigned>(workers_.size());
+    const unsigned nw = static_cast<unsigned>(executors_.size());
     // Upper bound on slices any single deque can receive: every slice
     // in the job lands on worker 0 under skewSlices.
     const uint32_t max_slices = nw * kSlicesPerWorker;
@@ -830,6 +844,14 @@ GpuDevice::jmMain()
 }
 
 void
+GpuDevice::runWorkerShare(unsigned idx, JobContext *job) noexcept
+{
+    executors_[idx].beginJob(job, idx);
+    executors_[idx].runUntilDone();
+    executors_[idx].finalize();
+}
+
+void
 GpuDevice::workerMain(unsigned idx)
 {
     if (tracer_.enabled()) {
@@ -847,9 +869,7 @@ GpuDevice::workerMain(unsigned idx)
         JobContext *job = activeJob_;
         l.unlock();
 
-        executors_[idx].beginJob(job, idx);
-        executors_[idx].runUntilDone();
-        executors_[idx].finalize();
+        runWorkerShare(idx, job);
 
         l.lock();
         workersDone_++;

@@ -37,11 +37,13 @@
  * Threading (full model in DESIGN.md §5f, static contract §5i): MMIO
  * handlers run on the CPU/caller thread under lock_; the Job Manager
  * chain loop runs on its own thread (or inline on the submitting
- * thread under GpuConfig::syncSubmit); workgroups execute on the
- * worker pool, which parks on poolLock_ between jobs.  lock_ and
- * poolLock_ are never held together (the job dispatch in runJob takes
- * poolLock_ strictly after the chain walk released lock_); neither is
- * ever held while executing guest shader code.
+ * thread under GpuConfig::syncSubmit, with no JM thread started);
+ * workgroups execute on that chain-execution thread as worker 0 plus
+ * the hostThreads - 1 pool threads, which park on poolLock_ between
+ * jobs.  lock_ and poolLock_ are never held together (the job
+ * dispatch in runJob takes poolLock_ strictly after the chain walk
+ * released lock_); neither is ever held while executing guest shader
+ * code.
  */
 
 #include <atomic>
@@ -80,7 +82,9 @@ struct GpuConfig
      * Host worker threads ("virtual cores").  0 = auto-detect: the
      * BIFSIM_HOST_THREADS environment variable if set, else the host's
      * hardware concurrency (min 1).  The resolved value is visible in
-     * GpuDevice::config() and the SC_THREADS register.
+     * GpuDevice::config() and the SC_THREADS register.  Worker 0 is
+     * the thread that executes the chain, so the device starts
+     * hostThreads - 1 pool threads.
      */
     unsigned hostThreads = 8;
 
@@ -103,11 +107,12 @@ struct GpuConfig
     /**
      * Deterministic co-simulation: a JS_SUBMIT write runs the whole
      * chain inline on the submitting (CPU) thread instead of waking the
-     * Job Manager thread.  The completion IRQ is then pending before
-     * the guest driver reaches its wait loop, so the interleaving of
-     * CPU instructions and GPU completions — and with it every
-     * guest-visible artefact (mailbox IRQ counters, trap save areas,
-     * idle timer ticks) — is a pure function of the guest state.
+     * Job Manager thread, which is then never started.  The completion
+     * IRQ is then pending before the guest driver reaches its wait
+     * loop, so the interleaving of CPU instructions and GPU
+     * completions — and with it every guest-visible artefact (mailbox
+     * IRQ counters, trap save areas, idle timer ticks) — is a pure
+     * function of the guest state.
      * Required for bit-identical snapshot/resume in FullSystem mode.
      */
     bool syncSubmit = false;
@@ -372,7 +377,9 @@ class GpuDevice : public Device
 
     // Worker pool.  Parked workers wait on poolCv_; a job is published
     // by setting activeJob_ and bumping jobSeq_ under poolLock_, and
-    // completion is the workersDone_ == workers barrier on poolDoneCv_.
+    // completion is the workersDone_ == workers_.size() barrier on
+    // poolDoneCv_.  executors_ has one more entry than workers_:
+    // executors_[0] runs on the chain-execution thread (runJob).
     // The slice deques are (re)filled only while the pool is parked.
     sim::Mutex poolLock_;
     sim::CondVar poolCv_;
@@ -382,11 +389,18 @@ class GpuDevice : public Device
     unsigned workersDone_ GUARDED_BY(poolLock_) = 0;
     std::vector<WorkgroupExecutor> executors_;
     std::unique_ptr<SliceDeque[]> deques_;   ///< One per worker.
-    std::vector<std::thread> workers_;
-    std::thread jmThread_;
+    std::vector<std::thread> workers_;   ///< Pool workers 1..N-1.
+    std::thread jmThread_;   ///< Not started under syncSubmit.
 
     void jmMain() EXCLUDES(lock_, poolLock_);
     void workerMain(unsigned idx) EXCLUDES(lock_, poolLock_);
+
+    /** Runs worker @p idx's share of @p job to completion.  noexcept
+     *  on every thread, the chain-execution thread (worker 0)
+     *  included: an exception must not unwind past a job the other
+     *  workers are still executing. */
+    void runWorkerShare(unsigned idx, JobContext *job) noexcept
+        EXCLUDES(lock_, poolLock_);
 
     /** Executes one chain of jobs starting at @p desc_va. */
     void runChain(uint32_t desc_va) EXCLUDES(lock_, poolLock_);

@@ -390,7 +390,7 @@ WorkgroupExecutor::atomicHostPtr(uint32_t va, bool fast)
                              "atomic translation fault");
             return nullptr;
         }
-        return reinterpret_cast<uint32_t *>(job_->mem->hostPtr(pa));
+        return reinterpret_cast<uint32_t *>(job_->mem->writablePtr(pa, 4));
     }
     Addr pa = 0;
     if (!job_->mmu->translate(va, true, tlb_, pa) ||
@@ -401,7 +401,7 @@ WorkgroupExecutor::atomicHostPtr(uint32_t va, bool fast)
     }
     if (job_->collect)
         coll_.pages.insert(va >> 12);
-    return reinterpret_cast<uint32_t *>(job_->mem->hostPtr(pa));
+    return reinterpret_cast<uint32_t *>(job_->mem->writablePtr(pa, 4));
 }
 
 bool

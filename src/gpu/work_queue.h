@@ -28,7 +28,8 @@
  *  - reset()/push() — Job Manager thread only, while no worker is
  *    running (publication to the workers happens via the pool mutex
  *    that wakes them).
- *  - pop()          — owning worker thread only.
+ *  - pop()          — owning worker thread only (deque 0 belongs to
+ *    the thread that executes the chain, which runs as worker 0).
  *  - steal()        — any other worker thread, concurrently with the
  *    owner's pop() and other thieves' steal().
  *

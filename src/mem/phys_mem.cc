@@ -14,8 +14,30 @@ namespace bifsim {
 
 namespace {
 
+static_assert(PhysMem::kPageBytes == snapshot::kCrcPageBytes,
+              "crc() composes pages with snapshot::crc32Pages");
+
 /** Reference zero page: memcmp against it beats any hand loop. */
 alignas(64) const uint8_t kZeroPage[PhysMem::kPageBytes] = {};
+
+size_t
+pageCount(size_t size)
+{
+    return (size + PhysMem::kPageBytes - 1) / PhysMem::kPageBytes;
+}
+
+/** Sets @p crcs, one per page, to the page CRCs of @p size bytes of
+ *  zeroes (a short last page when the size is not a page multiple). */
+void
+setZeroPageCrcs(std::vector<uint32_t> &crcs, size_t size)
+{
+    static const uint32_t zero_page =
+        snapshot::crc32(kZeroPage, PhysMem::kPageBytes);
+    std::fill(crcs.begin(), crcs.end(), zero_page);
+    if (size % PhysMem::kPageBytes != 0)
+        crcs.back() =
+            snapshot::crc32(kZeroPage, size % PhysMem::kPageBytes);
+}
 
 bool
 pageIsZero(const uint8_t *p, size_t len)
@@ -57,8 +79,7 @@ parseMemChunk(snapshot::ChunkReader &r, Addr expect_base,
     if (page != PhysMem::kPageBytes)
         r.fail(strfmt("unsupported page size %u", page));
 
-    const size_t n_pages =
-        (expect_size + PhysMem::kPageBytes - 1) / PhysMem::kPageBytes;
+    const size_t n_pages = pageCount(expect_size);
     uint32_t n_runs = r.u32();
     // Every run carries an 8-byte header, so a count the payload could
     // not possibly back is hostile; reject before allocating anything.
@@ -139,8 +160,17 @@ RamImage::sealFromSnapshot(const snapshot::Image &image)
         return nullptr;
     }
     uint8_t *data = static_cast<uint8_t *>(p);
-    for (const ParsedRun &run : runs)
+    // Hash the non-zero runs once here, so every session reset to this
+    // image starts with a valid page-CRC cache.
+    std::vector<uint32_t> page_crcs(pageCount(static_cast<size_t>(size)));
+    setZeroPageCrcs(page_crcs, static_cast<size_t>(size));
+    for (const ParsedRun &run : runs) {
         std::memcpy(data + run.off, run.payload, run.len);
+        for (size_t off = 0; off < run.len; off += PhysMem::kPageBytes)
+            page_crcs[(run.off + off) / PhysMem::kPageBytes] =
+                snap::crc32(run.payload + off,
+                            std::min(PhysMem::kPageBytes, run.len - off));
+    }
     ::munmap(p, static_cast<size_t>(size));
 
     // Seal: the content is now immutable for the file's lifetime, so
@@ -152,7 +182,8 @@ RamImage::sealFromSnapshot(const snapshot::Image &image)
     size_t mem_len = crc_r.remaining();
     return std::shared_ptr<RamImage>(
         new RamImage(static_cast<Addr>(base), static_cast<size_t>(size),
-                     fd, image.chunkCrc(snap::kTagMem), mem_len));
+                     fd, image.chunkCrc(snap::kTagMem), mem_len,
+                     std::move(page_crcs)));
 #else
     (void)image;
     return nullptr;
@@ -163,7 +194,7 @@ RamImage::sealFromSnapshot(const snapshot::Image &image)
 
 PhysMem::PhysMem(Addr base, size_t size,
                  std::shared_ptr<const RamImage> image)
-    : base_(base), size_(size)
+    : base_(base), size_(size), dirty_(new uint8_t[pageCount(size)]())
 {
     const size_t alloc = size_ ? size_ : 1;
 #if defined(__linux__)
@@ -176,6 +207,7 @@ PhysMem::PhysMem(Addr base, size_t size,
             mmapped_ = true;
             cowMapped_ = true;
             image_ = std::move(image);
+            cleanCrcs_ = CleanCrcs::Image;
             return;
         }
     }
@@ -207,6 +239,13 @@ PhysMem::~PhysMem()
 
 void
 PhysMem::clear()
+{
+    zeroBacking();
+    resetCrcs(false);
+}
+
+void
+PhysMem::zeroBacking()
 {
 #if defined(__linux__)
     if (cowMapped_) {
@@ -244,6 +283,7 @@ PhysMem::resetToImage()
                          MAP_PRIVATE | MAP_FIXED, image_->fd(), 0);
         if (p != MAP_FAILED) {
             cowMapped_ = true;
+            resetCrcs(true);
             return true;
         }
     }
@@ -253,10 +293,61 @@ PhysMem::resetToImage()
 }
 
 void
+PhysMem::resetCrcs(bool image)
+{
+    cleanCrcs_ = image ? CleanCrcs::Image : CleanCrcs::Zero;
+    std::memset(dirty_.get(), 0, pageCount(size_));
+}
+
+const std::vector<uint32_t> &
+PhysMem::pageCrcs()
+{
+    if (cleanCrcs_ == CleanCrcs::Image) {
+        pageCrc_ = image_->pageCrcs();
+    } else if (cleanCrcs_ == CleanCrcs::Zero) {
+        pageCrc_.resize(pageCount(size_));
+        setZeroPageCrcs(pageCrc_, size_);
+    }
+    cleanCrcs_ = CleanCrcs::Cached;
+
+    uint8_t *dirty = dirty_.get();
+    const size_t n = pageCrc_.size();
+    for (size_t p = 0; p < n; ++p) {
+        const void *hit = std::memchr(dirty + p, 1, n - p);
+        if (!hit)
+            break;
+        p = static_cast<size_t>(static_cast<const uint8_t *>(hit) - dirty);
+        dirty[p] = 0;
+        const size_t off = p * kPageBytes;
+        pageCrc_[p] =
+            snapshot::crc32(data_ + off, std::min(kPageBytes, size_ - off));
+    }
+    return pageCrc_;
+}
+
+std::vector<uint32_t>
+PhysMem::zeroPageCrcs(size_t size)
+{
+    std::vector<uint32_t> crcs(pageCount(size));
+    setZeroPageCrcs(crcs, size);
+    return crcs;
+}
+
+uint32_t
+PhysMem::crc()
+{
+    const std::vector<uint32_t> &crcs = pageCrcs();
+    const size_t full = size_ / kPageBytes;
+    uint32_t crc = snapshot::crc32Pages(crcs.data(), full);
+    if (full < crcs.size())
+        crc = snapshot::crc32Combine(crc, crcs.back(), size_ % kPageBytes);
+    return crc;
+}
+
+void
 PhysMem::saveState(snapshot::ChunkWriter &w) const
 {
-    const size_t n_pages =
-        (size_ + kPageBytes - 1) / kPageBytes;
+    const size_t n_pages = pageCount(size_);
 
     w.u64(base_);
     w.u64(size_);
@@ -304,7 +395,7 @@ PhysMem::restoreState(snapshot::ChunkReader &r)
 
     clear();
     for (const ParsedRun &run : runs)
-        std::memcpy(data_ + run.off, run.payload, run.len);
+        writeBlock(base_ + run.off, run.payload, run.len);
 }
 
 } // namespace bifsim

@@ -7,9 +7,11 @@
  * exactly as on the modelled SoC (unified memory).
  */
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include "mem/device.h"
 #include "snapshot/snapshot.h"
@@ -29,6 +31,9 @@ namespace bifsim {
  * session actually dirties fault in a private copy.  `memCrc`/`memLen`
  * identify the exact MEM chunk the image was sealed from, so a
  * restore can prove the fast path applies before skipping the chunk.
+ * `pageCrcs` holds the CRC-32 of every image page, computed once while
+ * sealing, so a session reset to the image starts with a valid CRC
+ * cache and never rehashes (or faults in) a clean page.
  *
  * Threading: immutable after sealFromSnapshot returns; share freely.
  */
@@ -60,11 +65,14 @@ class RamImage
     /** Length of that MEM chunk payload. */
     size_t memLen() const { return memLen_; }
 
+    /** snapshot::crc32 of each image page (PhysMem's page granule). */
+    const std::vector<uint32_t> &pageCrcs() const { return pageCrcs_; }
+
   private:
     RamImage(Addr base, size_t size, int fd, uint32_t mem_crc,
-             size_t mem_len)
+             size_t mem_len, std::vector<uint32_t> page_crcs)
         : base_(base), size_(size), fd_(fd), memCrc_(mem_crc),
-          memLen_(mem_len)
+          memLen_(mem_len), pageCrcs_(std::move(page_crcs))
     {
     }
 
@@ -73,6 +81,7 @@ class RamImage
     int fd_ = -1;
     uint32_t memCrc_;
     size_t memLen_;
+    std::vector<uint32_t> pageCrcs_;
 };
 
 /**
@@ -93,6 +102,28 @@ class RamImage
  * sessions spawned from one warm-boot image then share every clean
  * RAM page, and resetToImage() recycles a dirty session back to the
  * image content by remapping — O(dirtied pages), no copy of RAM.
+ *
+ * Incremental hashing (DESIGN.md §5e): PhysMem is the one owner of
+ * "which RAM changed".  It keeps the snapshot::crc32 of every
+ * kPageBytes page plus one dirty flag per page; a set flag means that
+ * page's cached CRC is stale.  pageCrcs() rehashes only the stale
+ * pages, and crc() composes the whole-RAM CRC from them, equal bit
+ * for bit to snapshot::crc32 over all of RAM.  clear(), resetToImage()
+ * and restoreState() reset the cache to the content they install.
+ *
+ * Contract:
+ *  - Every mutation marks the pages it touches: write<T>, writeBlock
+ *    and fill do it themselves, and writablePtr() — the only mutable
+ *    raw pointer into RAM — marks its whole range when it hands the
+ *    pointer out.  A holder of such a pointer may write through it
+ *    only until the next pageCrcs()/crc() call; the GPU MMU's TLBs
+ *    meet this because they flush at every job boundary (gmmu.h).
+ *  - Marking is thread-safe: flags are set with relaxed atomic byte
+ *    stores, so CPU stores, GPU workers and the JM thread may mark
+ *    concurrently.
+ *  - pageCrcs() and crc() need no concurrent writer: call them from
+ *    the simulation thread while the GPU is idle, as the Recorder
+ *    (syncSubmit) and the fleet (after the job) do.
  */
 class PhysMem
 {
@@ -123,14 +154,22 @@ class PhysMem
                addr - base_ <= size_ - len;
     }
 
-    /** Raw host pointer to guest physical address @p addr (must be
-     *  in range). */
-    uint8_t *hostPtr(Addr addr) { return data_ + (addr - base_); }
-
-    /** Raw const host pointer to guest physical address @p addr. */
+    /** Raw const host pointer to guest physical address @p addr (must
+     *  be in range). */
     const uint8_t *
     hostPtr(Addr addr) const
     {
+        return data_ + (addr - base_);
+    }
+
+    /** Mutable host pointer to [addr, addr+len) (must be in range):
+     *  marks every page of the range dirty, then hands out the pointer.
+     *  Writes through it stay covered only until the next pageCrcs()
+     *  or crc() call (see the class contract). */
+    uint8_t *
+    writablePtr(Addr addr, size_t len)
+    {
+        markDirty(addr, len);
         return data_ + (addr - base_);
     }
 
@@ -149,7 +188,7 @@ class PhysMem
     void
     write(Addr addr, T value)
     {
-        std::memcpy(hostPtr(addr), &value, sizeof(T));
+        std::memcpy(writablePtr(addr, sizeof(T)), &value, sizeof(T));
     }
 
     /** Copies a block out of guest memory. */
@@ -163,15 +202,27 @@ class PhysMem
     void
     writeBlock(Addr addr, const void *src, size_t len)
     {
-        std::memcpy(hostPtr(addr), src, len);
+        std::memcpy(writablePtr(addr, len), src, len);
     }
 
     /** Fills a block of guest memory with @p byte. */
     void
     fill(Addr addr, uint8_t byte, size_t len)
     {
-        std::memset(hostPtr(addr), byte, len);
+        std::memset(writablePtr(addr, len), byte, len);
     }
+
+    /** snapshot::crc32 of every page (the last one short when the size
+     *  is not a page multiple), rehashing only pages written since
+     *  their last hash.  Needs no concurrent writer. */
+    const std::vector<uint32_t> &pageCrcs();
+
+    /** snapshot::crc32 over all of RAM, composed from pageCrcs().
+     *  Needs no concurrent writer. */
+    uint32_t crc();
+
+    /** What pageCrcs() returns for @p size bytes of all-zero RAM. */
+    static std::vector<uint32_t> zeroPageCrcs(size_t size);
 
     /** Zeroes all of RAM (cold boot / restore baseline).  In CoW mode
      *  the file backing is replaced by a fresh anonymous mapping; a
@@ -193,7 +244,7 @@ class PhysMem
      */
     bool resetToImage();
 
-    /** Snapshot page granule. */
+    /** Snapshot and CRC-cache page granule. */
     static constexpr size_t kPageBytes = 4096;
 
     /**
@@ -211,6 +262,25 @@ class PhysMem
     void restoreState(snapshot::ChunkReader &r);
 
   private:
+    /** Marks every page [addr, addr+len) touches stale. */
+    void
+    markDirty(Addr addr, size_t len)
+    {
+        if (len == 0)
+            return;
+        const size_t first = (addr - base_) / kPageBytes;
+        const size_t last = (addr - base_ + len - 1) / kPageBytes;
+        for (size_t p = first; p <= last; ++p)
+            std::atomic_ref<uint8_t>(dirty_[p]).store(
+                1, std::memory_order_relaxed);
+    }
+
+    /** Makes every page's CRC that of the content a reset installed. */
+    void resetCrcs(bool image);
+
+    /** Zeroes RAM content, leaving the CRC cache to the caller. */
+    void zeroBacking();
+
     Addr base_;
     size_t size_;
     uint8_t *data_ = nullptr;
@@ -218,6 +288,19 @@ class PhysMem
     bool cowMapped_ = false;   ///< Current mapping is MAP_PRIVATE
                                ///< over image_'s fd.
     std::shared_ptr<const RamImage> image_;
+    std::vector<uint32_t> pageCrc_;   ///< crc32 per page; stale where
+                                      ///< dirty_ is set.
+    /** Where the CRCs of clean pages are: in pageCrc_, or not yet
+     *  copied in from all-zero RAM or the image.  Resets only record
+     *  it, so spawning and recycling a session never touch the CRC
+     *  array; pageCrcs() fills it when first asked. */
+    enum class CleanCrcs : uint8_t { Cached, Zero, Image };
+    CleanCrcs cleanCrcs_ = CleanCrcs::Zero;
+    /** One byte per page, set when the page's cached CRC goes stale.
+     *  Marking goes through std::atomic_ref (concurrent writers);
+     *  reading and clearing happen with no concurrent writer, so they
+     *  use plain (memchr/memset) accesses. */
+    std::unique_ptr<uint8_t[]> dirty_;
 };
 
 } // namespace bifsim

@@ -42,16 +42,6 @@ knownKind(uint32_t kind)
            kind == kEvIrq || kind == kEvFingerprint;
 }
 
-uint32_t
-zeroPageCrc()
-{
-    static const uint32_t crc = [] {
-        std::vector<uint8_t> zero(kPage, 0);
-        return snap::crc32(zero.data(), zero.size());
-    }();
-    return crc;
-}
-
 void
 put32(std::vector<uint8_t> &out, uint32_t v)
 {
@@ -150,6 +140,25 @@ LogWriter::finish()
     }
     events_.clear();
     return out;
+}
+
+bool
+LogWriter::matches(const Log &ref) const
+{
+    if (events_.size() != ref.eventCount())
+        return false;
+    for (size_t i = 0; i < events_.size(); ++i) {
+        if (events_[i].kind != ref.kind(i))
+            return false;
+        if (ref.kind(i) == kEvConfig)
+            continue;
+        const std::vector<uint8_t> &p = events_[i].payload.data();
+        if (p.size() != ref.payloadSize(i) ||
+            (!p.empty() &&
+             std::memcmp(p.data(), ref.payload(i), p.size()) != 0))
+            return false;
+    }
+    return true;
 }
 
 // ---------------------------------------------------------------- Log
@@ -263,7 +272,9 @@ Recorder::Recorder(PhysMem &mem, gpu::GpuDevice &gpu, RecordInfo info)
 {
     if (mem_.size() % kPage != 0)
         replayError("RAM size %zu is not page-aligned", mem_.size());
-    shadow_.assign(mem_.size() / kPage, zeroPageCrc());
+    // The page CRCs of all-zero RAM: the first delta then carries every
+    // non-zero page, as a replayer that clears RAM first needs.
+    shadow_ = PhysMem::zeroPageCrcs(mem_.size());
 
     const gpu::GpuConfig &g = gpu_.config();
     snap::ChunkWriter &w = log_.event(kEvConfig);
@@ -352,24 +363,22 @@ Recorder::onChainComplete()
 {
     // Resync the shadow with the GPU's own writes so they don't bleed
     // into the next CPU delta, then fingerprint the result state.
-    const uint8_t *base = mem_.hostPtr(mem_.base());
-    for (size_t i = 0; i < shadow_.size(); ++i)
-        shadow_[i] = snap::crc32(base + i * kPage, kPage);
+    shadow_ = mem_.pageCrcs();
     emitFingerprint();
 }
 
 void
 Recorder::captureDelta()
 {
-    const uint8_t *base = mem_.hostPtr(mem_.base());
+    const std::vector<uint32_t> &crcs = mem_.pageCrcs();
     std::vector<uint32_t> changed;
     for (size_t i = 0; i < shadow_.size(); ++i) {
-        uint32_t crc = snap::crc32(base + i * kPage, kPage);
-        if (crc != shadow_[i]) {
-            shadow_[i] = crc;
+        if (crcs[i] != shadow_[i]) {
+            shadow_[i] = crcs[i];
             changed.push_back(static_cast<uint32_t>(i));
         }
     }
+    const uint8_t *base = mem_.hostPtr(mem_.base());
     snap::ChunkWriter &w = log_.event(kEvMemDelta);
     w.u8(first_ ? 1 : 0);   // full: replayer clears RAM first, so
                             // pages equal to zero need no bytes.
@@ -623,9 +632,9 @@ replay(const Log &log, const ReplayOptions &opt)
     gcfg.verify = static_cast<analysis::Strictness>(c.verify);
     gpu::GpuDevice dev(mem, gcfg, nullptr);
 
-    // Validation re-records the run through the same hooks (paying the
-    // per-chain RAM scans); without it, replay just applies the inputs
-    // — the fast path for reproducing a workload.
+    // Validation re-records the run through the same hooks and diffs
+    // the logs; without it, replay just applies the inputs — the fast
+    // path for reproducing a workload.
     std::optional<Recorder> rec;
     if (opt.validate)
         rec.emplace(mem, dev, RecordInfo{});
@@ -658,10 +667,9 @@ replay(const Log &log, const ReplayOptions &opt)
                                       idx));
                     prev = idx;
                     const uint8_t *src = r.raw(kPage);
-                    std::memcpy(mem.hostPtr(mem.base() +
-                                            static_cast<Addr>(idx) *
-                                                kPage),
-                                src, kPage);
+                    mem.writeBlock(mem.base() +
+                                       static_cast<Addr>(idx) * kPage,
+                                   src, kPage);
                 }
                 r.expectEnd();
                 break;
@@ -695,7 +703,9 @@ replay(const Log &log, const ReplayOptions &opt)
     res.lastJob = dev.lastJob();
     res.totalKernel = dev.totalKernelStats();
 
-    if (rec) {
+    if (rec && !rec->matches(log)) {
+        // Divergent: serialise the re-recording so diffLogs can name
+        // the first differing event and field.
         Log rerecorded = Log::fromBytes(rec->finish());
         std::optional<Divergence> d = diffLogs(log, rerecorded);
         if (d) {

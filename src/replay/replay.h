@@ -96,6 +96,8 @@ struct LogConfig
     bool fullSystem = false;    ///< Informational: submission mode.
 };
 
+class Log;
+
 /** Appends events to a BRPL log under construction. */
 class LogWriter
 {
@@ -108,6 +110,12 @@ class LogWriter
     std::vector<uint8_t> finish();
 
     size_t eventCount() const { return events_.size(); }
+
+    /** True when the events so far equal @p ref's, kind and payload,
+     *  event for event (RCFG payloads excepted) — exactly when
+     *  diffLogs(ref, <this log>) finds no divergence, but without
+     *  serialising, CRCing and re-parsing this log. */
+    bool matches(const Log &ref) const;
 
   private:
     struct Pending
@@ -186,12 +194,18 @@ struct RecordInfo
  * priming enqueues): cumulative state — JOB_COUNT, merged kernel
  * statistics, the last job result — is baselined at attach so
  * fingerprints carry only what happened *during* the recording, which
- * is exactly what a fresh replay device reproduces.  RAM
- * dirtied by the CPU is discovered by a per-page CRC shadow diffed at
- * each JS_SUBMIT; the first delta is emitted against a zeroed shadow
- * with the `full` flag set (replayers clear RAM first), which makes
- * logs self-contained even when recording starts on a warm-booted /
- * snapshot-restored session.
+ * is exactly what a fresh replay device reproduces.
+ *
+ * RAM changes come from PhysMem's page-CRC cache (phys_mem.h), never
+ * from a scan: `shadow_` holds the page CRCs this Recorder last
+ * emitted, and each JS_SUBMIT diffs it against PhysMem::pageCrcs(),
+ * which rehashes only the pages written since.  The differing pages
+ * form the RMEM delta.  After each chain the shadow is resynced with
+ * the GPU's writes the same way, and the fingerprint's RAM CRC is the
+ * crc32 of the shadow.  The first delta is emitted against the page
+ * CRCs of all-zero RAM with the `full` flag set (replayers clear RAM
+ * first), which makes logs self-contained even when recording starts
+ * on a warm-booted / snapshot-restored session.
  *
  * Threading: all hooks fire on the submitting thread (guaranteed by
  * the syncSubmit requirement); construction, finish() and destruction
@@ -220,6 +234,9 @@ class Recorder
     /** Chains (JS_SUBMIT writes) recorded so far. */
     size_t chains() const { return chains_; }
 
+    /** LogWriter::matches over the events recorded so far. */
+    bool matches(const Log &ref) const { return log_.matches(ref); }
+
     // GpuDevice hooks — called by the device only.
     void onMmioWrite(uint32_t offset, uint32_t value);
     void onIrqRaise(uint32_t bits, uint32_t raw_after);
@@ -230,7 +247,7 @@ class Recorder
     PhysMem &mem_;
     gpu::GpuDevice &gpu_;
     LogWriter log_;
-    std::vector<uint32_t> shadow_;   ///< Per-page CRC32 of last capture.
+    std::vector<uint32_t> shadow_;   ///< Page CRCs last emitted.
     bool first_ = true;              ///< Next delta carries `full`.
     bool attached_ = false;
     bool finished_ = false;
@@ -272,8 +289,8 @@ struct ReplayOptions
     bool trace = false;
     bool validate = true;   ///< Re-record and diff against the source;
                             ///< false applies the inputs only (no
-                            ///< per-chain RAM scans — the fast path
-                            ///< for reproducing a workload).
+                            ///< re-recorded log — the fast path for
+                            ///< reproducing a workload).
 };
 
 /** Outcome of one replay. */

@@ -24,6 +24,8 @@ namespace {
 // already assumes of the host.
 static_assert(std::endian::native == std::endian::little);
 
+constexpr uint32_t kPoly = 0xedb88320u;
+
 /** Slicing-by-8 tables for the reflected IEEE polynomial: row 0 is the
  *  classic byte-at-a-time table, and row k maps a byte to its CRC
  *  contribution once k further zero bytes have been shifted through. */
@@ -32,7 +34,7 @@ constexpr std::array<std::array<uint32_t, 256>, 8> kCrcTable = [] {
     for (uint32_t i = 0; i < 256; ++i) {
         uint32_t c = i;
         for (int k = 0; k < 8; ++k)
-            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+            c = (c & 1) ? kPoly ^ (c >> 1) : c >> 1;
         t[0][i] = c;
     }
     for (size_t k = 1; k < 8; ++k)
@@ -41,7 +43,65 @@ constexpr std::array<std::array<uint32_t, 256>, 8> kCrcTable = [] {
     return t;
 }();
 
+/** Product of two polynomials modulo the CRC polynomial, both in the
+ *  reflected representation crc32 uses (bit 31 is the x^0 term). */
+constexpr uint32_t
+mulModP(uint32_t a, uint32_t b)
+{
+    uint32_t p = 0;
+    for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
+        if (a & m)
+            p ^= b;
+        b = (b & 1) ? (b >> 1) ^ kPoly : b >> 1;   // b *= x
+    }
+    return p;
+}
+
+/** x^(8n) mod P: multiplying a CRC by it advances the CRC past n
+ *  bytes, whatever their value (crc32 is affine in its input). */
+constexpr uint32_t
+xPow8n(uint64_t n)
+{
+    uint32_t result = 1u << 31;   // x^0
+    uint32_t sq = 1u << 23;       // x^8
+    for (; n != 0; n >>= 1) {
+        if (n & 1)
+            result = mulModP(sq, result);
+        sq = mulModP(sq, sq);
+    }
+    return result;
+}
+
+/** Multiplication by x^(8 * kCrcPageBytes), byte-sliced like kCrcTable:
+ *  row k maps byte k of a CRC to its image, so advancing a CRC past one
+ *  page is four lookups. */
+constexpr std::array<std::array<uint32_t, 256>, 4> kPageShiftTable = [] {
+    const uint32_t shift = xPow8n(kCrcPageBytes);
+    std::array<std::array<uint32_t, 256>, 4> t{};
+    for (size_t k = 0; k < 4; ++k)
+        for (uint32_t i = 0; i < 256; ++i)
+            t[k][i] = mulModP(shift, i << (8 * k));
+    return t;
+}();
+
 } // namespace
+
+uint32_t
+crc32Combine(uint32_t crc_a, uint32_t crc_b, size_t len_b)
+{
+    return mulModP(xPow8n(len_b), crc_a) ^ crc_b;
+}
+
+uint32_t
+crc32Pages(const uint32_t *page_crcs, size_t n)
+{
+    const auto &t = kPageShiftTable;
+    uint32_t crc = 0;   // crc32 of no bytes
+    for (size_t i = 0; i < n; ++i)
+        crc = t[0][crc & 0xff] ^ t[1][(crc >> 8) & 0xff] ^
+              t[2][(crc >> 16) & 0xff] ^ t[3][crc >> 24] ^ page_crcs[i];
+    return crc;
+}
 
 uint32_t
 crc32(const void *data, size_t len)

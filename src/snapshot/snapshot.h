@@ -49,10 +49,24 @@ class SnapshotError : public SimError
  *  bytes at any alignment.  This is the simulator's one CRC-32 kernel
  *  (slicing-by-8); its output equals the byte-at-a-time definition.
  *  It checks BSNP chunks (the MEM chunk's CRC also keys the fleet's
- *  image remap), BRPL events and FLT* frames, and computes every RAM
- *  hash: the Recorder's per-page shadow and its whole-RAM fingerprint
- *  CRC, and the fleet's post-job ramCrc. */
+ *  image remap), BRPL events and FLT* frames, and hashes RAM one page
+ *  at a time: PhysMem rehashes only the pages written since their last
+ *  hash, and composes the whole-RAM CRC from the page CRCs with
+ *  crc32Pages() (the Recorder's deltas and fingerprints, the fleet's
+ *  post-job ramCrc). */
 uint32_t crc32(const void *data, size_t len);
+
+/** Block length crc32Pages() composes over: the RAM page granule. */
+constexpr size_t kCrcPageBytes = 4096;
+
+/** crc32() of the concatenation A‖B, from crc32(A), crc32(B) and the
+ *  length of B, without touching the bytes (O(log len_b)). */
+uint32_t crc32Combine(uint32_t crc_a, uint32_t crc_b, size_t len_b);
+
+/** crc32() of @p n consecutive kCrcPageBytes-byte pages, from each
+ *  page's crc32() in @p page_crcs: equal bit for bit to hashing the
+ *  pages' bytes, at one table step per page. */
+uint32_t crc32Pages(const uint32_t *page_crcs, size_t n);
 
 /** Builds a chunk tag from a 4-character name, e.g. makeTag("CPU "). */
 constexpr uint32_t

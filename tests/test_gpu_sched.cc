@@ -14,6 +14,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -398,6 +400,48 @@ TEST(GpuSched, ScThreadsReadableThroughFullSystemBus)
     EXPECT_GT(v, 0u);
     EXPECT_EQ(v, s.system().gpu().config().hostThreads);
 }
+
+// ---------------------------------------------------------------------
+// Thread inventory: the chain-execution thread is worker 0
+// ---------------------------------------------------------------------
+
+#if defined(__linux__)
+/** Threads of this process. */
+size_t
+processThreads()
+{
+    std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<size_t>(
+        std::distance(tasks, std::filesystem::directory_iterator{}));
+}
+
+TEST(GpuSched, DeviceStartsOnlyThePoolThreadsItNeeds)
+{
+    PhysMem mem(0x80000000, 1 << 20);
+    const size_t before = processThreads();
+    {
+        // Synchronous submit at one host thread: the submitting thread
+        // walks the chain and runs every workgroup, so a job needs no
+        // other thread.
+        gpu::GpuConfig cfg;
+        cfg.hostThreads = 1;
+        cfg.syncSubmit = true;
+        gpu::GpuDevice dev(mem, cfg, [](bool) {});
+        EXPECT_EQ(processThreads(), before);
+        EXPECT_EQ(dev.mmioRead(gpu::kRegScThreads), 1u);
+    }
+    {
+        // Asynchronous at three: the Job Manager thread is worker 0,
+        // plus two pool threads.
+        gpu::GpuConfig cfg;
+        cfg.hostThreads = 3;
+        gpu::GpuDevice dev(mem, cfg, [](bool) {});
+        EXPECT_EQ(processThreads(), before + 3);
+        EXPECT_EQ(dev.mmioRead(gpu::kRegScThreads), 3u);
+    }
+    EXPECT_EQ(processThreads(), before);
+}
+#endif
 
 } // namespace
 } // namespace bifsim

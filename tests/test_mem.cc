@@ -1,9 +1,17 @@
-/** @file Unit tests for guest memory and the system bus. */
+/** @file Unit tests for guest memory, its page-CRC cache and the
+ *  system bus. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "mem/bus.h"
 #include "mem/phys_mem.h"
+#include "runtime/session.h"
+#include "snapshot/snapshot.h"
 
 namespace bifsim {
 namespace {
@@ -150,6 +158,226 @@ TEST(Bus, DeviceAt)
     EXPECT_EQ(bus.deviceAt(0x40000abc, base), &dev);
     EXPECT_EQ(base, 0x40000000u);
     EXPECT_EQ(bus.deviceAt(0x50000000, base), nullptr);
+}
+
+// ------------------------------------------------------ page-CRC cache
+
+constexpr Addr kRam = 0x80000000;
+constexpr size_t kPage = PhysMem::kPageBytes;
+constexpr size_t kOddSize = 16 * kPage + 100;   ///< Short last page.
+
+/** The cache's oracle: every cached page CRC and the composed whole-RAM
+ *  CRC against hashing RAM from scratch.  Returns the first mismatch,
+ *  or "" when the cache is exact. */
+std::string
+cacheMismatch(PhysMem &m)
+{
+    const std::vector<uint32_t> &crcs = m.pageCrcs();
+    const size_t pages = (m.size() + kPage - 1) / kPage;
+    if (crcs.size() != pages)
+        return strfmt("%zu page CRCs for %zu pages", crcs.size(), pages);
+    for (size_t p = 0; p < pages; ++p) {
+        const size_t off = p * kPage;
+        if (crcs[p] != snapshot::crc32(m.hostPtr(m.base() + off),
+                                       std::min(kPage, m.size() - off)))
+            return strfmt("page %zu CRC is stale", p);
+    }
+    if (m.crc() != snapshot::crc32(m.hostPtr(m.base()), m.size()))
+        return "composed crc() differs from crc32 over all of RAM";
+    return "";
+}
+
+/** A MEM chunk of @p m's content. */
+snapshot::ChunkWriter
+memChunk(const PhysMem &m)
+{
+    snapshot::ChunkWriter w;
+    m.saveState(w);
+    return w;
+}
+
+TEST(PhysMemCrc, StraddlingStoreMarksBothPages)
+{
+    PhysMem m(kRam, kOddSize);
+    Bus bus;
+    bus.attachMemory(&m);
+    ASSERT_EQ(cacheMismatch(m), "");
+    ASSERT_EQ(bus.write(kRam + 3 * kPage - 4, 8, 0x0123456789abcdefull),
+              BusResult::Ok);
+    EXPECT_EQ(cacheMismatch(m), "");
+    m.write<uint32_t>(kRam + 5 * kPage - 1, 0xa5a5a5a5u);
+    EXPECT_EQ(cacheMismatch(m), "");
+    m.write<uint16_t>(kRam + kOddSize - 2, 0xbeef);   // Short last page.
+    EXPECT_EQ(cacheMismatch(m), "");
+}
+
+TEST(PhysMemCrc, RandomWritesThroughEveryHostPath)
+{
+    PhysMem m(kRam, kOddSize);
+    Bus bus;
+    bus.attachMemory(&m);
+    PhysMem other(kRam, kOddSize);
+    other.fill(kRam + 5 * kPage + 17, 0x3c, 2 * kPage);
+    other.write<uint16_t>(kRam + kOddSize - 2, 0xbeef);
+    const snapshot::ChunkWriter saved = memChunk(other);
+
+    std::mt19937_64 rng(14);
+    auto anyAddr = [&](size_t len) {
+        return kRam + static_cast<Addr>(rng() % (kOddSize - len + 1));
+    };
+    for (int step = 0; step < 2000; ++step) {
+        const unsigned path = static_cast<unsigned>(rng() % 8);
+        switch (path) {
+          case 0: {   // CPU store of 1/2/4/8 bytes, unaligned included.
+            const unsigned size = 1u << (rng() % 4);
+            ASSERT_EQ(bus.write(anyAddr(size), size, rng()), BusResult::Ok);
+            break;
+          }
+          case 1:
+            m.write<uint32_t>(anyAddr(4), static_cast<uint32_t>(rng()));
+            break;
+          case 2: {
+            std::vector<uint8_t> src(rng() % (3 * kPage));
+            for (uint8_t &b : src)
+                b = static_cast<uint8_t>(rng());
+            m.writeBlock(anyAddr(src.size()), src.data(), src.size());
+            break;
+          }
+          case 3: {
+            const size_t len = rng() % (3 * kPage);
+            m.fill(anyAddr(len), static_cast<uint8_t>(rng()), len);
+            break;
+          }
+          case 4: {
+            const size_t len = 1 + rng() % kPage;
+            std::memset(m.writablePtr(anyAddr(len), len),
+                        static_cast<int>(rng() & 0xff), len);
+            break;
+          }
+          case 5:
+            if (rng() % 16 == 0)
+                m.clear();
+            break;
+          case 6:
+            if (rng() % 16 == 0) {
+                snapshot::ChunkReader r(snapshot::kTagMem,
+                                        saved.data().data(), saved.size());
+                m.restoreState(r);
+            }
+            break;
+          default:
+            // Check only now and then, so stale pages must stay marked
+            // across several writes and resets.
+            ASSERT_EQ(cacheMismatch(m), "")
+                << "step " << step;
+            break;
+        }
+    }
+    EXPECT_EQ(cacheMismatch(m), "");
+}
+
+TEST(PhysMemCrc, ResetsInstallTheirContentCrcs)
+{
+    // Each reset follows a crc() that cached the dirty content, so a
+    // reset that left the cache alone would serve those stale CRCs.
+    PhysMem src(kRam, kOddSize);
+    src.fill(kRam + kPage, 0x11, 3 * kPage + 5);
+    src.write<uint32_t>(kRam + 9 * kPage + 8, 0xfeedf00du);
+    src.write<uint16_t>(kRam + kOddSize - 2, 0xbeef);
+    snapshot::Writer w;
+    src.saveState(w.chunk(snapshot::kTagMem));
+    snapshot::Image image = snapshot::Image::fromBytes(w.finish());
+    std::shared_ptr<RamImage> ram = RamImage::sealFromSnapshot(image);
+    if (!ram)
+        GTEST_SKIP() << "sealed memfd images need Linux";
+    EXPECT_EQ(ram->pageCrcs(), src.pageCrcs());
+
+    PhysMem m(kRam, kOddSize, ram);
+    ASSERT_EQ(cacheMismatch(m), "");
+    EXPECT_EQ(m.crc(), src.crc());
+
+    m.fill(kRam + 2 * kPage, 0x77, 4 * kPage);
+    ASSERT_EQ(cacheMismatch(m), "");
+    ASSERT_TRUE(m.resetToImage());
+    ASSERT_EQ(cacheMismatch(m), "");
+    EXPECT_EQ(m.crc(), src.crc());
+
+    m.fill(kRam, 0x99, kOddSize);
+    ASSERT_EQ(cacheMismatch(m), "");
+    m.clear();
+    ASSERT_EQ(cacheMismatch(m), "");
+    EXPECT_EQ(m.crc(), PhysMem(kRam, kOddSize).crc());
+
+    m.fill(kRam + 7 * kPage, 0x42, kPage);
+    ASSERT_EQ(cacheMismatch(m), "");
+    ASSERT_TRUE(m.resetToImage());
+    ASSERT_EQ(cacheMismatch(m), "");
+
+    m.fill(kRam, 0x99, kOddSize);
+    ASSERT_EQ(cacheMismatch(m), "");
+    snapshot::ChunkReader r = image.chunk(snapshot::kTagMem);
+    m.restoreState(r);
+    ASSERT_EQ(cacheMismatch(m), "");
+    EXPECT_EQ(m.crc(), src.crc());
+}
+
+const char *kMixSrc = R"(
+kernel void mix(global int* out, global int* hist, int n, int salt) {
+    int i = get_global_id(0);
+    if (i < n) {
+        out[i] = i * salt + 7;
+        atomic_add(hist[i % 16], salt);
+    }
+}
+)";
+
+TEST(PhysMemCrc, GpuStoresAndAtomicsMarkTheirPages)
+{
+    // Four GPU workers store and add atomically into pages no host path
+    // touched since the last hash.  Two jobs write the same pages with
+    // a crc() between them: the second job's stores are seen only
+    // because TLBs flush at the job boundary and the refill re-marks.
+    struct Variant
+    {
+        rt::Mode mode;
+        bool syncSubmit;
+        bool fastPath;
+    };
+    for (const Variant &v : {Variant{rt::Mode::Direct, true, true},
+                             Variant{rt::Mode::Direct, true, false},
+                             Variant{rt::Mode::FullSystem, false, true},
+                             Variant{rt::Mode::FullSystem, true, false}}) {
+        SCOPED_TRACE(strfmt("fullSystem=%d sync=%d fast=%d",
+                            v.mode == rt::Mode::FullSystem, v.syncSubmit,
+                            v.fastPath));
+        rt::SystemConfig cfg;
+        cfg.ramBytes = 16u << 20;
+        cfg.gpu.hostThreads = 4;
+        cfg.gpu.syncSubmit = v.syncSubmit;
+        cfg.gpu.fastPath = v.fastPath;
+        rt::Session s(cfg, v.mode);
+        PhysMem &m = s.system().mem();
+        rt::KernelHandle k = s.compile(kMixSrc, "mix");
+        constexpr uint32_t kN = 4096;   // Four pages of output.
+        rt::Buffer out = s.alloc(kN * 4);
+        rt::Buffer hist = s.alloc(16 * 4);
+        std::vector<int32_t> init(kN, -1);
+        s.write(out, init.data(), init.size() * 4);
+        ASSERT_EQ(cacheMismatch(m), "");
+
+        for (int32_t salt : {3, 5}) {
+            gpu::JobResult r = s.enqueue(
+                k, rt::NDRange{kN, 1, 1}, rt::NDRange{64, 1, 1},
+                {rt::Arg::buf(out), rt::Arg::buf(hist),
+                 rt::Arg::i32(static_cast<int32_t>(kN)),
+                 rt::Arg::i32(salt)});
+            ASSERT_FALSE(r.faulted) << r.fault.detail;
+            ASSERT_EQ(cacheMismatch(m), "") << "after salt " << salt;
+        }
+        int32_t h0 = 0;
+        s.read(hist, &h0, 4);
+        EXPECT_EQ(h0, (3 + 5) * static_cast<int32_t>(kN / 16));
+    }
 }
 
 } // namespace

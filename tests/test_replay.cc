@@ -518,6 +518,52 @@ TEST(Replay, RestoredSessionRecordsSelfContainedLog)
     expectReplaysEverywhere(log);
 }
 
+/** The fingerprint RAM hash recomputed from scratch: crc32 over the
+ *  per-page crc32 of every RAM page. */
+uint32_t
+fingerprintRamCrc(const PhysMem &m)
+{
+    std::vector<uint32_t> pages;
+    for (size_t off = 0; off < m.size(); off += PhysMem::kPageBytes)
+        pages.push_back(snap::crc32(m.hostPtr(m.base() + off),
+                                    PhysMem::kPageBytes));
+    return snap::crc32(pages.data(), pages.size() * sizeof(uint32_t));
+}
+
+TEST(Replay, FingerprintsAndDeltasFollowEveryRamWrite)
+{
+    // Host writes and four GPU workers write RAM; the second chain
+    // rewrites the pages the first one wrote.  Each fingerprint must
+    // hash RAM as it really is (Direct mode: nothing writes RAM between
+    // chain completion and enqueue's return, unlike a guest driver),
+    // and the replay, whose deltas land through PhysMem::writeBlock,
+    // must reproduce every delta and fingerprint.
+    rt::Session s(recordableConfig(16u << 20, 4), rt::Mode::Direct);
+    rt::KernelHandle k = s.compile(kScaleSrc, "scale");
+    rt::Buffer in = s.alloc(2048 * 4);
+    rt::Buffer out = s.alloc(2048 * 4);
+    s.startRecording();
+    std::vector<uint32_t> want;
+    for (int32_t base : {5, 900}) {
+        std::vector<int32_t> v(2048);
+        for (size_t i = 0; i < v.size(); ++i)
+            v[i] = base + static_cast<int32_t>(i);
+        s.write(in, v.data(), v.size() * 4);
+        gpu::JobResult r =
+            s.enqueue(k, rt::NDRange{2048, 1, 1}, rt::NDRange{64, 1, 1},
+                      {rt::Arg::buf(in), rt::Arg::buf(out),
+                       rt::Arg::i32(2048)});
+        ASSERT_FALSE(r.faulted);
+        want.push_back(fingerprintRamCrc(s.system().mem()));
+    }
+    replay::Log log = replay::Log::fromBytes(s.stopRecording());
+    std::vector<Fp> fps = fingerprints(log);
+    ASSERT_EQ(fps.size(), want.size());
+    for (size_t i = 0; i < fps.size(); ++i)
+        EXPECT_EQ(fps[i].ramCrc, want[i]) << "chain " << i;
+    expectReplaysEverywhere(log);
+}
+
 // ------------------------------------------------------- Mutation fuzz
 
 std::vector<uint8_t>

@@ -210,6 +210,46 @@ TEST(SnapshotFormat, Crc32KnownVector)
             << c.name;
 }
 
+TEST(SnapshotFormat, Crc32PagesComposesToWholeBufferCrc)
+{
+    // Random page counts 1..300 plus a short last page of random
+    // length: the composed CRC must equal hashing the concatenation.
+    constexpr size_t kPage = snapshot::kCrcPageBytes;
+    std::mt19937 rng(14);
+    std::vector<uint8_t> bytes = seededBytes(300 * kPage + kPage, 3);
+    for (int trial = 0; trial < 40; ++trial) {
+        const size_t pages = 1 + rng() % 300;
+        const size_t tail = rng() % kPage;   // 0: no short page
+        std::vector<uint32_t> crcs;
+        for (size_t p = 0; p < pages; ++p)
+            crcs.push_back(snapshot::crc32(bytes.data() + p * kPage, kPage));
+        uint32_t composed = snapshot::crc32Pages(crcs.data(), pages);
+        ASSERT_EQ(composed, snapshot::crc32(bytes.data(), pages * kPage))
+            << pages << " pages";
+        const uint8_t *last = bytes.data() + pages * kPage;
+        composed = snapshot::crc32Combine(
+            composed, snapshot::crc32(last, tail), tail);
+        ASSERT_EQ(composed,
+                  snapshot::crc32(bytes.data(), pages * kPage + tail))
+            << pages << " pages + " << tail << " bytes";
+    }
+
+    // crc32Combine at every split of a small buffer, including the
+    // empty halves, against the bitwise reference.
+    std::vector<uint8_t> small = seededBytes(300, 4);
+    const uint32_t whole = crc32Bitwise(small.data(), small.size());
+    for (size_t cut = 0; cut <= small.size(); ++cut)
+        ASSERT_EQ(snapshot::crc32Combine(
+                      snapshot::crc32(small.data(), cut),
+                      snapshot::crc32(small.data() + cut,
+                                      small.size() - cut),
+                      small.size() - cut),
+                  whole)
+            << "cut " << cut;
+
+    EXPECT_EQ(snapshot::crc32Pages(nullptr, 0), snapshot::crc32("", 0));
+}
+
 // ---------------------------------------------------------------------
 // Component round-trips
 // ---------------------------------------------------------------------
