@@ -1,22 +1,31 @@
 /**
  * @file
- * Interpreter hot-path A/B benchmark: legacy tuple-walking interpreter
- * (GpuConfig::fastPath = false) versus the flattened micro-op dispatch
- * with the host-pointer TLB (fastPath = true).
+ * Interpreter hot-path benchmark: the micro-op fast path against the
+ * independent scalar reference interpreter (src/gpu/ref, paper §V-A2).
  *
- * Reports, per kernel: wall-clock seconds, simulated MIPS (executed
- * shader instructions per host second), TLB hit rate, and nanoseconds
- * per global memory access.  Results are also written to
+ * Both interpreters run the same kernel over the same inputs, launch
+ * for launch (see runKernel); the two output buffers and instruction
+ * counts must be bit-identical.
+ *
+ * Reports, per kernel: wall-clock seconds and simulated MIPS (executed
+ * shader instructions per host second, from the fastest of the timed
+ * launches, so a co-tenant's burst on a shared host does not decide
+ * the ratio) of both, their ratio, the fast path's TLB hit rate and
+ * nanoseconds per global memory access.  The gate is the fast/ref
+ * ratio on the compute-bound mad_loop.  Results are also written to
  * BENCH_interp_hotpath.json in the current directory.
  */
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/json.h"
 #include "common/logging.h"
+#include "gpu/ref/ref_interp.h"
 #include "runtime/session.h"
 
 namespace {
@@ -53,14 +62,39 @@ kernel void triad(global const float* a, global const float* b,
 }
 )";
 
-struct RunMetrics
+/** Minimum fast/ref MIPS ratio on mad_loop: the equal-strength point of
+ *  the fast >= 2x legacy gate this replaces.  Over 12 runs of this
+ *  bench at that gate's last commit with the legacy interpreter in the
+ *  fast path's seat, legacy/ref read 0.41-0.53 (median 0.475, so the
+ *  old gate tripped at fast/ref 0.95), while the fast path read
+ *  1.44-2.11 (4-vCPU x86-64 VM, Release build). */
+constexpr double kMinFastOverRef = 0.95;
+
+constexpr uint32_t kGroupSize = 64;
+
+/** One interpreter's timings over a kernel's launches. */
+struct Side
 {
-    double secs = 0;
-    double mips = 0;
-    double nsPerAccess = 0;
-    double tlbHitRate = 0;
+    double secs = 0;       ///< All timed launches.
+    double bestSecs = 0;   ///< Fastest single launch.
     uint64_t instrs = 0;
-    uint64_t accesses = 0;
+
+    void
+    addLaunch(double s)
+    {
+        secs += s;
+        if (bestSecs == 0 || s < bestSecs)
+            bestSecs = s;
+    }
+
+    /** Per-launch instructions over the fastest launch. */
+    double
+    mips(int launches) const
+    {
+        return bestSecs > 0
+                   ? static_cast<double>(instrs) / launches / bestSecs / 1e6
+                   : 0;
+    }
 };
 
 struct KernelCase
@@ -72,11 +106,26 @@ struct KernelCase
     int launches;
 };
 
-RunMetrics
-runCase(const KernelCase &kc, bool fast_path)
+struct KernelRun
+{
+    Side fast, ref;
+    double nsPerAccess = 0;   ///< Fast path, all timed launches.
+    double tlbHitRate = 0;
+    bool outputsMatch = false;
+};
+
+/**
+ * Runs @p kc's launches through both interpreters, alternating one
+ * fast-path launch (a Direct-mode job at one host thread) with one
+ * reference launch (gpu::ref::runThread for every thread of the grid
+ * over a flat memory image at the same GPU VAs), so a burst of host
+ * noise lands on both sides rather than on one.
+ */
+KernelRun
+runKernel(const KernelCase &kc)
 {
     rt::SystemConfig cfg;
-    cfg.gpu.fastPath = fast_path;
+    cfg.gpu.hostThreads = 1;
     rt::Session s(cfg);
 
     rt::KernelHandle k = s.compile(kc.source, kc.name);
@@ -99,34 +148,65 @@ runCase(const KernelCase &kc, bool fast_path)
         args = {rt::Arg::buf(a), rt::Arg::buf(b), rt::Arg::buf(c),
                 rt::Arg::f32(1.5f), rt::Arg::i32(kc.n)};
 
+    std::vector<uint8_t> image(static_cast<size_t>(c.gpuVa) + bytes, 0);
+    std::memcpy(image.data() + a.gpuVa, init.data(), bytes);
+    std::memcpy(image.data() + b.gpuVa, init.data(), bytes);
+    gpu::ref::RefContext ctx;
+    ctx.localSize[0] = kGroupSize;
+    ctx.gridSize[0] = static_cast<uint32_t>(kc.n);
+    ctx.numGroups[0] = static_cast<uint32_t>(kc.n) / kGroupSize;
+    for (const rt::Arg &arg : args)
+        ctx.args.push_back(arg.value);
+    ctx.globalMem = &image;
+
     rt::NDRange global{static_cast<uint32_t>(kc.n), 1, 1};
-    rt::NDRange local{64, 1, 1};
+    rt::NDRange local{kGroupSize, 1, 1};
 
     // Warm-up launch: populates the decode cache and faults in pages so
     // the timed region measures steady-state interpretation.
     s.enqueue(k, global, local, args);
 
-    RunMetrics m;
+    KernelRun run;
     gpu::KernelStats total;
     gpu::TlbStats tlb;
-    bench::Timer t;
     for (int it = 0; it < kc.launches; ++it) {
+        bench::Timer t;
         gpu::JobResult r = s.enqueue(k, global, local, args);
+        run.fast.addLaunch(t.seconds());
         if (r.faulted) {
             std::fprintf(stderr, "%s: job faulted\n", kc.name);
             std::exit(1);
         }
         total.merge(r.kernel);
         tlb.merge(r.tlb);
+
+        t.reset();
+        for (uint32_t gid = 0; gid < static_cast<uint32_t>(kc.n); ++gid) {
+            ctx.localId[0] = gid % kGroupSize;
+            ctx.groupId[0] = gid / kGroupSize;
+            ctx.laneId = ctx.localId[0] % bif::kWarpWidth;
+            gpu::ref::RefResult rr = gpu::ref::runThread(k.info.mod, ctx);
+            if (!rr.ok) {
+                std::fprintf(stderr, "%s: reference thread %u: %s\n",
+                             kc.name, gid, rr.error.c_str());
+                std::exit(1);
+            }
+            run.ref.instrs += rr.executedInstrs;
+        }
+        run.ref.addLaunch(t.seconds());
     }
-    m.secs = t.seconds();
-    m.instrs = total.totalInstrs();
-    m.accesses = total.globalLdSt + total.localLdSt;
-    m.mips = m.secs > 0 ? m.instrs / m.secs / 1e6 : 0;
-    m.nsPerAccess =
-        m.accesses ? m.secs * 1e9 / static_cast<double>(m.accesses) : 0;
-    m.tlbHitRate = tlb.hitRate();
-    return m;
+    run.fast.instrs = total.totalInstrs();
+    uint64_t accesses = total.globalLdSt + total.localLdSt;
+    run.nsPerAccess = accesses ? run.fast.secs * 1e9 /
+                                     static_cast<double>(accesses)
+                               : 0;
+    run.tlbHitRate = tlb.hitRate();
+
+    std::vector<uint8_t> out(bytes);
+    s.read(c, out.data(), bytes);
+    run.outputsMatch =
+        std::memcmp(out.data(), image.data() + c.gpuVa, bytes) == 0;
+    return run;
 }
 
 } // namespace
@@ -140,66 +220,76 @@ main(int argc, char **argv)
 
     bench::banner("Interpreter hot path — micro-op dispatch + host-pointer"
                   " TLB",
-                  "A/B of the legacy tuple-walking interpreter vs the "
-                  "flattened fast path (same jobs, same stats).");
+                  "Fast path (one host thread) vs the scalar reference "
+                  "interpreter (same kernels, same inputs, same "
+                  "outputs).");
 
     int n = static_cast<int>(16384 * opt.scale) & ~63;
     if (n < 256)
         n = 256;
     std::vector<KernelCase> cases = {
-        {"mad_loop", kMadLoop, n, 400, 4},
+        {"mad_loop", kMadLoop, n, 400, 6},
         {"triad", kTriad, n * 4, 0, 12},
     };
 
-    std::printf("%-10s %12s %12s %9s %12s %11s\n", "kernel",
-                "legacy MIPS", "fast MIPS", "speedup", "ns/access",
-                "TLB hit%");
+    std::printf("%-10s %12s %12s %9s %10s %10s\n", "kernel", "ref MIPS",
+                "fast MIPS", "fast/ref", "ns/access", "TLB hit%");
 
     bench::Report report("interp_hotpath", opt.scale);
     json::Value kernels = json::Value::array();
     bool ok = true;
-    double gate_speedup = 0;
-    for (size_t i = 0; i < cases.size(); ++i) {
-        const KernelCase &kc = cases[i];
-        RunMetrics legacy = runCase(kc, false);
-        RunMetrics fast = runCase(kc, true);
-        double speedup = legacy.secs > 0 && fast.secs > 0
-                             ? legacy.secs / fast.secs
-                             : 0;
-        std::printf("%-10s %12.1f %12.1f %8.2fx %6.1f->%-5.1f %10.1f%%\n",
-                    kc.name, legacy.mips, fast.mips, speedup,
-                    legacy.nsPerAccess, fast.nsPerAccess,
-                    100.0 * fast.tlbHitRate);
+    double gate_ratio = 0;
+    for (const KernelCase &kc : cases) {
+        KernelRun run = runKernel(kc);
+        const Side &fast = run.fast, &ref = run.ref;
+        double fast_mips = fast.mips(kc.launches);
+        double ref_mips = ref.mips(kc.launches);
+        double ratio = ref_mips > 0 ? fast_mips / ref_mips : 0;
+        std::printf("%-10s %12.1f %12.1f %8.2fx %10.1f %9.1f%%\n",
+                    kc.name, ref_mips, fast_mips, ratio, run.nsPerAccess,
+                    100.0 * run.tlbHitRate);
+
+        if (!run.outputsMatch) {
+            std::fprintf(stderr, "FAIL: %s: fast and reference outputs "
+                                 "differ\n", kc.name);
+            ok = false;
+        }
+        if (fast.instrs != ref.instrs) {
+            std::fprintf(stderr, "FAIL: %s: fast ran %llu instructions, "
+                                 "reference %llu\n", kc.name,
+                         static_cast<unsigned long long>(fast.instrs),
+                         static_cast<unsigned long long>(ref.instrs));
+            ok = false;
+        }
+
         json::Value k = json::Value::object();
         k.set("name", json::Value(kc.name));
         k.set("instrs", json::Value(fast.instrs));
-        json::Value leg = json::Value::object();
-        leg.set("secs", json::Value(legacy.secs));
-        leg.set("mips", json::Value(legacy.mips));
-        leg.set("ns_per_access", json::Value(legacy.nsPerAccess));
-        k.set("legacy", std::move(leg));
+        json::Value rf = json::Value::object();
+        rf.set("secs", json::Value(ref.secs));
+        rf.set("mips", json::Value(ref_mips));
+        k.set("ref", std::move(rf));
         json::Value fst = json::Value::object();
         fst.set("secs", json::Value(fast.secs));
-        fst.set("mips", json::Value(fast.mips));
-        fst.set("ns_per_access", json::Value(fast.nsPerAccess));
-        fst.set("tlb_hit_rate", json::Value(fast.tlbHitRate));
+        fst.set("mips", json::Value(fast_mips));
+        fst.set("ns_per_access", json::Value(run.nsPerAccess));
+        fst.set("tlb_hit_rate", json::Value(run.tlbHitRate));
         k.set("fast", std::move(fst));
-        k.set("speedup", json::Value(speedup));
+        k.set("fast_over_ref", json::Value(ratio));
         kernels.push(std::move(k));
         if (kc.iters > 0) {
-            gate_speedup = speedup;
-            if (speedup < 2.0)
+            gate_ratio = ratio;
+            if (ratio < kMinFastOverRef) {
+                std::fprintf(stderr, "FAIL: %s fast/ref %.2f below "
+                                     "%.2f\n", kc.name, ratio,
+                             kMinFastOverRef);
                 ok = false;
+            }
         }
     }
     report.metrics().set("kernels", std::move(kernels));
-    report.gate("kernels.mad_loop.speedup", 2.0, gate_speedup, true);
+    report.gate("kernels.mad_loop.fast_over_ref", kMinFastOverRef,
+                gate_ratio, true);
     report.write();
-
-    if (!ok) {
-        std::fprintf(stderr,
-                     "FAIL: compute-kernel speedup below 2x target\n");
-        return 1;
-    }
-    return 0;
+    return ok ? 0 : 1;
 }

@@ -11,13 +11,13 @@
  *     bench::Report emitter.
  *  2. Configuration sweep: in-process matrix of two GPU workloads
  *     (compute-bound mad_loop, memory-bound triad) across
- *     {fast path / legacy interpreter} x {trace off/on} x
- *     {verifier off/unsafe/strict} x {1/2 host threads}, plus a CPU
- *     interpreter-vs-DBT A/B on a bare-metal guest.  Wall time is
- *     recorded per cell; the gated output is *instruction-count
- *     invariance* — every configuration of a workload must execute
- *     exactly the same simulated instructions (agree == 1.0), the
- *     simulator's core determinism promise.  Writes BENCH_sweep.json.
+ *     {trace off/on} x {verifier off/unsafe/strict} x
+ *     {1/2 host threads}, plus a CPU interpreter-vs-DBT A/B on a
+ *     bare-metal guest.  Wall time is recorded per cell; the gated
+ *     output is *instruction-count invariance* — every configuration
+ *     of a workload must execute exactly the same simulated
+ *     instructions (agree == 1.0), the simulator's core determinism
+ *     promise.  Writes BENCH_sweep.json.
  *  3. Baseline diff (when --baseline-dir is given): every BENCH_*.json
  *     in the baseline directory is diffed against the same-named file
  *     in the current directory under the per-metric tolerance policy
@@ -111,7 +111,6 @@ struct SweepCell
 struct CellSpec
 {
     const char *cfg;
-    bool fastPath;
     bool trace;
     analysis::Strictness verify;
     unsigned hostThreads;
@@ -120,12 +119,11 @@ struct CellSpec
 /** The fixed configuration matrix — the same labels in quick and full
  *  runs, so baseline keys never shift. */
 const CellSpec kCells[] = {
-    {"base", true, false, analysis::Strictness::kUnsafe, 1},
-    {"legacy", false, false, analysis::Strictness::kUnsafe, 1},
-    {"traced", true, true, analysis::Strictness::kUnsafe, 1},
-    {"verify_off", true, false, analysis::Strictness::kOff, 1},
-    {"verify_strict", true, false, analysis::Strictness::kStrict, 1},
-    {"threads2", true, false, analysis::Strictness::kUnsafe, 2},
+    {"base", false, analysis::Strictness::kUnsafe, 1},
+    {"traced", true, analysis::Strictness::kUnsafe, 1},
+    {"verify_off", false, analysis::Strictness::kOff, 1},
+    {"verify_strict", false, analysis::Strictness::kStrict, 1},
+    {"threads2", false, analysis::Strictness::kUnsafe, 2},
 };
 
 SweepCell
@@ -133,7 +131,6 @@ runGpuCell(const CellSpec &spec, const char *kernel_name,
            const char *source, int n, int iters, int launches)
 {
     rt::SystemConfig cfg;
-    cfg.gpu.fastPath = spec.fastPath;
     cfg.gpu.trace = spec.trace;
     cfg.gpu.verify = spec.verify;
     cfg.gpu.hostThreads = spec.hostThreads;

@@ -612,7 +612,6 @@ GpuDevice::runJob(const JobDescriptor &desc)
     ctx.deques = deques_.get();
     ctx.numWorkers = static_cast<unsigned>(executors_.size());
     ctx.collect = cfg_.instrument;
-    ctx.fastPath = cfg_.fastPath;
     for (int d = 0; d < 3; ++d)
         ctx.groups[d] = desc.grid[d] / desc.wg[d];
     ctx.totalGroups = ctx.groups[0] * ctx.groups[1] * ctx.groups[2];

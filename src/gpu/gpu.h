@@ -97,9 +97,6 @@ struct GpuConfig
     bool skewSlices = false;
 
     bool instrument = true;    ///< Collect execution statistics.
-    bool fastPath = true;      ///< Micro-op dispatch + host-pointer TLB;
-                               ///< false selects the legacy interpreter
-                               ///< (A/B baseline, differential tests).
     bool trace = false;        ///< Job-lifecycle tracing (src/trace/);
                                ///< off costs one branch per event site.
     size_t traceBufferEvents = 1u << 14;   ///< Ring capacity per thread.

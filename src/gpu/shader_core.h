@@ -16,15 +16,14 @@
  * shader cores, with simulator-private local memory per host thread
  * and no shared-counter traffic on the claim path.
  *
- * Execute fast path: at decode time each clause's tuples are lowered
- * into a dense pre-resolved micro-op array (opcode, unified-register
- * operand indices, immediate), so the per-warp execute loop iterates a
- * flat array instead of re-walking tuple/slot structures and re-testing
+ * Execute: at decode time each clause's tuples are lowered into a
+ * dense pre-resolved micro-op array (opcode, unified-register operand
+ * indices, immediate), so the per-warp execute loop iterates a flat
+ * array instead of re-walking tuple/slot structures and re-testing
  * operand kinds.  Because every shader is decoded exactly once
- * (§III-B2), the lowering cost amortises to zero.  The original
- * tuple-walking interpreter is retained as the "legacy" dispatch path
- * (GpuConfig::fastPath = false) for differential testing and for the
- * before/after hot-path benchmark.
+ * (§III-B2), the lowering cost amortises to zero.  This is the one
+ * execution path; the independent scalar interpreter in gpu/ref is
+ * its differential-testing oracle (§V-A2).
  */
 
 #include <atomic>
@@ -150,8 +149,6 @@ struct JobContext
     uint32_t groups[3] = {1, 1, 1};
     uint32_t totalGroups = 1;
     bool collect = true;                ///< Instrumentation enabled.
-    bool fastPath = true;               ///< Micro-op dispatch + host-ptr
-                                        ///< TLB (false = legacy loop).
 
     std::atomic<bool> faulted{false};
 
@@ -269,20 +266,15 @@ class WorkgroupExecutor
     void foldGroupExec();
 
     /** Executes clause @p c for the @p mask threads of @p warp over the
-     *  flattened micro-op stream.  Returns false on fault. */
+     *  flattened micro-op stream, then commits it.  Returns false on
+     *  fault. */
     bool execClause(Warp &warp, uint32_t c, uint32_t mask);
 
-    /** The pre-overhaul tuple-walking interpreter, kept verbatim as the
-     *  before/after baseline and differential-test subject. */
-    bool execClauseLegacy(Warp &warp, uint32_t c, uint32_t mask);
-
-    /** Commits per-thread next-PCs and divergence bookkeeping shared by
-     *  both dispatch paths. */
+    /** Commits per-thread next-PCs and divergence bookkeeping.  Kept
+     *  out of line: folded into execClause, it slowed the micro-op loop
+     *  by about 15% (bench_interp_hotpath mad_loop). */
     bool commitClause(Warp &warp, uint32_t c, uint32_t mask, bool has_cf,
                       const uint32_t *next_pc, const bool *exits);
-
-    uint32_t readOperand(const Thread &t, uint8_t op) const;
-    void writeOperand(Thread &t, uint8_t op, uint32_t value);
 
     /** Raises @p kind against the current workgroup: latches it into
      *  the job (lowest group wins) and stops this group's warps. */
@@ -290,10 +282,8 @@ class WorkgroupExecutor
                     const std::string &detail);
 
     bool memAccess(uint32_t va, unsigned size, bool write, uint32_t &val);
-    bool memAccessLegacy(uint32_t va, unsigned size, bool write,
-                         uint32_t &val);
     bool localAccess(uint32_t offset, bool write, uint32_t &val);
-    uint32_t *atomicHostPtr(uint32_t va, bool fast);
+    uint32_t *atomicHostPtr(uint32_t va);
     void notePage(uint32_t vpn);
 };
 

@@ -150,11 +150,12 @@ Registry::setGauge(const char *name, uint64_t value)
 {
     if (!enabled_.load(std::memory_order_relaxed))
         return;
-    thread_local std::unordered_map<const Registry *,
+    // Keyed by generation id, as in publish().
+    thread_local std::unordered_map<uint64_t,
                                     std::unordered_map<const char *,
                                                        uint16_t>>
         tl_gslots;
-    auto &cache = tl_gslots[this];
+    auto &cache = tl_gslots[id_];
     uint16_t idx;
     auto it = cache.find(name);
     if (it != cache.end()) {

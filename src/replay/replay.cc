@@ -284,7 +284,7 @@ Recorder::Recorder(PhysMem &mem, gpu::GpuDevice &gpu, RecordInfo info)
     w.u32(g.hostThreads);
     w.u8(static_cast<uint8_t>(g.verify));
     w.u8(g.instrument ? 1 : 0);
-    w.u8(g.fastPath ? 1 : 0);
+    w.u8(1);   // Interpreter tier: the micro-op fast path.
     w.u8(info.cpuDbt ? 1 : 0);
     w.u8(info.fullSystem ? 1 : 0);
     w.u8(0);
@@ -626,7 +626,6 @@ replay(const Log &log, const ReplayOptions &opt)
     gcfg.numCores = c.numCores;
     gcfg.hostThreads = opt.hostThreads == 0 ? 1 : opt.hostThreads;
     gcfg.instrument = c.instrument;
-    gcfg.fastPath = opt.fastPath;
     gcfg.trace = opt.trace;
     gcfg.syncSubmit = true;
     gcfg.verify = static_cast<analysis::Strictness>(c.verify);

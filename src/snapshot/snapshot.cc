@@ -223,7 +223,10 @@ void
 ChunkReader::bytes(void *dst, size_t len)
 {
     need(len);
-    std::memcpy(dst, data_ + pos_, len);
+    // An empty destination (e.g. an empty vector's data()) may be null,
+    // which memcpy does not allow even for zero bytes.
+    if (len != 0)
+        std::memcpy(dst, data_ + pos_, len);
     pos_ += len;
 }
 

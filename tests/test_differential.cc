@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <random>
 
 #include "gpu/isa/bif.h"
 #include "gpu/ref/ref_interp.h"
 #include "runtime/session.h"
+#include "snapshot/snapshot.h"
 #include "workloads/sgemm_variants.h"
 
 namespace bifsim {
@@ -285,10 +287,10 @@ randomBranchProgram(uint32_t seed)
     return m;
 }
 
-/** Branch/BranchZ/BranchNZ clauses: the fast path, the legacy
- *  interpreter, and the scalar reference must agree bit-exactly on the
- *  final GRF state (the analyzer's CFG is built from the same successor
- *  rules, so all three define the executed paths). */
+/** Branch/BranchZ/BranchNZ clauses: the fast path and the scalar
+ *  reference must agree bit-exactly on the final GRF state (the
+ *  analyzer's CFG is built from the same successor rules, so all of
+ *  them define the executed paths). */
 class BranchDifferential : public ::testing::TestWithParam<uint32_t>
 {
 };
@@ -366,10 +368,10 @@ TEST_P(BranchDifferential, AllInterpretersAgree)
     ASSERT_EQ(bif::validate(dumper), "");
 
     constexpr uint32_t kThreads = 8;
-    auto run = [&](bool fast) {
+    std::vector<uint32_t> fast(kThreads * 8);
+    {
         rt::SystemConfig cfg;
         cfg.gpu.hostThreads = 2;
-        cfg.gpu.fastPath = fast;
         rt::Session s(cfg);
         kclc::CompiledKernel ck;
         ck.name = "branchfuzz";
@@ -382,13 +384,8 @@ TEST_P(BranchDifferential, AllInterpretersAgree)
             k, rt::NDRange{kThreads, 1, 1}, rt::NDRange{4, 1, 1},
             {rt::Arg::buf(out)});
         EXPECT_FALSE(r.faulted) << r.fault.detail;
-        std::vector<uint32_t> got(kThreads * 8);
-        s.read(out, got.data(), got.size() * 4);
-        return got;
-    };
-    std::vector<uint32_t> fast = run(true);
-    std::vector<uint32_t> legacy = run(false);
-    EXPECT_EQ(fast, legacy) << "seed " << seed;
+        s.read(out, fast.data(), fast.size() * 4);
+    }
 
     for (uint32_t t = 0; t < kThreads; ++t) {
         gpu::ref::RefContext ctx;
@@ -425,12 +422,11 @@ TEST(RefInterp, TraceMode)
 /** Runs sgemm1 (naive, no barriers) once and returns output bytes plus
  *  the job's kernel statistics. */
 static gpu::JobResult
-runSgemm1(bool fast_path, uint32_t n, const std::vector<float> &a,
+runSgemm1(uint32_t n, const std::vector<float> &a,
           const std::vector<float> &b, std::vector<uint8_t> &out_bytes,
           std::vector<uint32_t> *buffer_vas = nullptr)
 {
     rt::SystemConfig cfg;
-    cfg.gpu.fastPath = fast_path;
     rt::Session s(cfg);
     rt::KernelHandle k =
         s.compile(workloads::sgemmVariantsSource(), "sgemm1");
@@ -450,11 +446,13 @@ runSgemm1(bool fast_path, uint32_t n, const std::vector<float> &a,
     return r;
 }
 
-/** The micro-op fast path and the legacy tuple-walking interpreter must
- *  be observationally identical: bit-identical output buffers AND
- *  identical instrumentation (the fast path folds its counts lazily,
- *  but the totals may not drift). */
-TEST(SgemmDifferential, FastPathMatchesLegacyBitExact)
+/** The fast path folds its instrumentation lazily (per workgroup, per
+ *  worker); the folded totals must not drift.  The golden values are
+ *  what the eagerly counting tuple-walking interpreter, since removed,
+ *  reported for this exact job; the fast path matched it bit for bit
+ *  when both existed.  The output is pinned by its CRC-32 and, against
+ *  the reference interpreter, by FastPathMatchesScalarReference. */
+TEST(SgemmDifferential, FastPathStatsMatchGolden)
 {
     constexpr uint32_t n = 32;
     std::vector<float> a(n * n), b(n * n);
@@ -467,37 +465,40 @@ TEST(SgemmDifferential, FastPathMatchesLegacyBitExact)
     for (float &v : b)
         v = rnd();
 
-    std::vector<uint8_t> out_fast, out_legacy;
-    gpu::JobResult rf = runSgemm1(true, n, a, b, out_fast);
-    gpu::JobResult rl = runSgemm1(false, n, a, b, out_legacy);
-    ASSERT_FALSE(rf.faulted) << rf.fault.detail;
-    ASSERT_FALSE(rl.faulted) << rl.fault.detail;
+    std::vector<uint8_t> out;
+    gpu::JobResult r = runSgemm1(n, a, b, out);
+    ASSERT_FALSE(r.faulted) << r.fault.detail;
+    EXPECT_EQ(snapshot::crc32(out.data(), out.size()), 0xa0dd28d3u);
 
-    EXPECT_EQ(out_fast, out_legacy);
-
-    const gpu::KernelStats &f = rf.kernel, &l = rl.kernel;
-    EXPECT_EQ(f.arithInstrs, l.arithInstrs);
-    EXPECT_EQ(f.lsInstrs, l.lsInstrs);
-    EXPECT_EQ(f.cfInstrs, l.cfInstrs);
-    EXPECT_EQ(f.nopSlots, l.nopSlots);
-    EXPECT_EQ(f.grfReads, l.grfReads);
-    EXPECT_EQ(f.grfWrites, l.grfWrites);
-    EXPECT_EQ(f.tempAccesses, l.tempAccesses);
-    EXPECT_EQ(f.constReads, l.constReads);
-    EXPECT_EQ(f.romReads, l.romReads);
-    EXPECT_EQ(f.globalLdSt, l.globalLdSt);
-    EXPECT_EQ(f.localLdSt, l.localLdSt);
-    EXPECT_EQ(f.clausesExecuted, l.clausesExecuted);
-    EXPECT_EQ(f.threadsLaunched, l.threadsLaunched);
-    EXPECT_EQ(f.warpsLaunched, l.warpsLaunched);
-    EXPECT_EQ(f.workgroups, l.workgroups);
-    EXPECT_EQ(f.divergentBranches, l.divergentBranches);
-    EXPECT_EQ(f.clauseSizes.total(), l.clauseSizes.total());
-    EXPECT_EQ(f.cfgEdges, l.cfgEdges);
+    const gpu::KernelStats &f = r.kernel;
+    EXPECT_EQ(f.arithInstrs, 575488u);
+    EXPECT_EQ(f.lsInstrs, 66560u);
+    EXPECT_EQ(f.cfInstrs, 67584u);
+    EXPECT_EQ(f.nopSlots, 33792u);
+    EXPECT_EQ(f.grfReads, 603136u);
+    EXPECT_EQ(f.grfWrites, 270336u);
+    EXPECT_EQ(f.tempAccesses, 741376u);
+    EXPECT_EQ(f.constReads, 4096u);
+    EXPECT_EQ(f.romReads, 0u);
+    EXPECT_EQ(f.globalLdSt, 66560u);
+    EXPECT_EQ(f.localLdSt, 0u);
+    EXPECT_EQ(f.clausesExecuted, 101376u);
+    EXPECT_EQ(f.threadsLaunched, 1024u);
+    EXPECT_EQ(f.warpsLaunched, 256u);
+    EXPECT_EQ(f.workgroups, 4u);
+    EXPECT_EQ(f.divergentBranches, 0u);
+    EXPECT_EQ(f.clauseSizes.total(), 101376u);
+    const std::map<uint64_t, uint64_t> edges = {
+        {gpu::cfgEdgeKey(1, 2), 32768},
+        {gpu::cfgEdgeKey(1, 4), 1024},
+        {gpu::cfgEdgeKey(3, 1), 32768},
+        {gpu::cfgEdgeKey(4, 0xffffffffu), 1024},   // 4 -> exit
+    };
+    EXPECT_EQ(f.cfgEdges, edges);
 
     // The fast path actually used the translation fast path.
-    EXPECT_GT(rf.tlb.lookups(), 0u);
-    EXPECT_GT(rf.tlb.hitRate(), 0.9);
+    EXPECT_GT(r.tlb.lookups(), 0u);
+    EXPECT_GT(r.tlb.hitRate(), 0.9);
 }
 
 /** The fast path against the independent scalar reference interpreter
@@ -518,7 +519,7 @@ TEST(SgemmDifferential, FastPathMatchesScalarReference)
 
     std::vector<uint8_t> out_fast;
     std::vector<uint32_t> vas;
-    gpu::JobResult r = runSgemm1(true, n, a, b, out_fast, &vas);
+    gpu::JobResult r = runSgemm1(n, a, b, out_fast, &vas);
     ASSERT_FALSE(r.faulted) << r.fault.detail;
     const uint32_t va_a = vas[0], va_b = vas[1], va_c = vas[2];
 

@@ -341,20 +341,17 @@ TEST(PhysMemCrc, GpuStoresAndAtomicsMarkTheirPages)
     {
         rt::Mode mode;
         bool syncSubmit;
-        bool fastPath;
     };
-    for (const Variant &v : {Variant{rt::Mode::Direct, true, true},
-                             Variant{rt::Mode::Direct, true, false},
-                             Variant{rt::Mode::FullSystem, false, true},
-                             Variant{rt::Mode::FullSystem, true, false}}) {
-        SCOPED_TRACE(strfmt("fullSystem=%d sync=%d fast=%d",
-                            v.mode == rt::Mode::FullSystem, v.syncSubmit,
-                            v.fastPath));
+    for (const Variant &v : {Variant{rt::Mode::Direct, true},
+                             Variant{rt::Mode::Direct, false},
+                             Variant{rt::Mode::FullSystem, false},
+                             Variant{rt::Mode::FullSystem, true}}) {
+        SCOPED_TRACE(strfmt("fullSystem=%d sync=%d",
+                            v.mode == rt::Mode::FullSystem, v.syncSubmit));
         rt::SystemConfig cfg;
         cfg.ramBytes = 16u << 20;
         cfg.gpu.hostThreads = 4;
         cfg.gpu.syncSubmit = v.syncSubmit;
-        cfg.gpu.fastPath = v.fastPath;
         rt::Session s(cfg, v.mode);
         PhysMem &m = s.system().mem();
         rt::KernelHandle k = s.compile(kMixSrc, "mix");

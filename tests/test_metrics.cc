@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -125,6 +126,24 @@ TEST(MetricsRegistry, GaugeStoresLatestNotSum)
     EXPECT_EQ(3u, reg.totals()[reg.slot("t6.depth")]);
     reg.setGauge("t6.depth", 0);   // Gauges can legally return to 0.
     EXPECT_EQ(0u, reg.totals()[reg.slot("t6.depth")]);
+}
+
+TEST(MetricsRegistry, GaugeSlotsDoNotOutliveTheirRegistry)
+{
+    // A registry built where a destroyed one lived must not inherit
+    // its gauge name->slot cache: here the name interns to a different
+    // slot the second time, so a stale cache would store elsewhere.
+    static const char *const kLevel = "t7.level";
+    std::optional<Registry> reg;
+    reg.emplace();
+    reg->setGauge(kLevel, 4);
+    const Registry *first = &*reg;
+    reg.reset();
+    reg.emplace();
+    ASSERT_EQ(&*reg, first);
+    reg->slot("t7.other");
+    reg->setGauge(kLevel, 9);
+    EXPECT_EQ(9u, reg->totals()[reg->slot(kLevel)]);
 }
 
 // -------------------------------------------------- Concurrency

@@ -67,21 +67,17 @@ irqBits(const replay::Log &log)
     return bits;
 }
 
-/** Replays @p log across fast/legacy x worker counts; every run must
- *  validate cleanly. */
+/** Replays @p log at 1, 2 and 4 workers; every run must validate
+ *  cleanly. */
 void
 expectReplaysEverywhere(const replay::Log &log)
 {
-    for (bool fast : {true, false}) {
-        for (unsigned threads : {1u, 2u, 4u}) {
-            replay::ReplayOptions opt;
-            opt.fastPath = fast;
-            opt.hostThreads = threads;
-            replay::ReplayResult r = replay::replay(log, opt);
-            EXPECT_TRUE(r.ok)
-                << "fast=" << fast << " threads=" << threads << ": "
-                << r.divergence;
-        }
+    for (unsigned threads : {1u, 2u, 4u}) {
+        replay::ReplayOptions opt;
+        opt.hostThreads = threads;
+        replay::ReplayResult r = replay::replay(log, opt);
+        EXPECT_TRUE(r.ok) << "threads=" << threads << ": "
+                          << r.divergence;
     }
 }
 
@@ -636,7 +632,7 @@ TEST(ReplayFuzz, HostileCountsFailLocatedNeverCrash)
         c.u32(2);               // hostThreads
         c.u8(1);                // verify
         c.u8(1);                // instrument
-        c.u8(1);                // fastPath
+        c.u8(1);                // GPU tier
         c.u8(0);                // cpuDbt
         c.u8(0);                // fullSystem
         c.u8(0);                // reserved

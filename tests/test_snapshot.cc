@@ -151,6 +151,23 @@ TEST(SnapshotFormat, ReaderIsBoundsChecked)
     EXPECT_THROW(a.raw(1u << 20), SnapshotError);
 }
 
+TEST(SnapshotFormat, ZeroLengthFieldDecodesIntoEmptyVector)
+{
+    // A length-prefixed field of zero bytes read into an empty vector
+    // hands bytes() a null destination; it must copy nothing.
+    const std::vector<uint8_t> none;
+    ChunkWriter w;
+    w.u32(static_cast<uint32_t>(none.size()));
+    w.bytes(none.data(), none.size());
+    w.u8(0x5a);
+    ChunkReader r(kTagA, w.data().data(), w.size());
+    std::vector<uint8_t> got(r.u32());
+    r.bytes(got.data(), got.size());
+    EXPECT_TRUE(got.empty());
+    EXPECT_EQ(r.u8(), 0x5au);
+    EXPECT_NO_THROW(r.expectEnd());
+}
+
 /** Table-free bitwise CRC-32 (IEEE, reflected 0xEDB88320): the
  *  byte-wise definition the slicing-by-8 kernel must reproduce. */
 uint32_t
@@ -372,11 +389,10 @@ TEST(KernelStatsSnapshot, RejectsHostileCounts)
 // ---------------------------------------------------------------------
 
 rt::SystemConfig
-smallCfg(bool fast_path = true, bool sync_submit = false)
+smallCfg(bool sync_submit = false)
 {
     rt::SystemConfig cfg;
     cfg.ramBytes = 32u << 20;
-    cfg.gpu.fastPath = fast_path;
     cfg.gpu.syncSubmit = sync_submit;
     return cfg;
 }
@@ -624,14 +640,13 @@ expectEqual(const Fingerprint &a, const Fingerprint &b)
  *  @return the run-through fingerprint, so callers can additionally
  *  compare fingerprints *across* worker-pool configurations. */
 Fingerprint
-runDeterminismScenario(rt::Mode mode, bool fast_path, const char *src,
-                       const char *name, unsigned host_threads = 0,
-                       bool skew_slices = false, bool cpu_dbt = true)
+runDeterminismScenario(rt::Mode mode, const char *src, const char *name,
+                       unsigned host_threads = 0, bool skew_slices = false,
+                       bool cpu_dbt = true)
 {
     // syncSubmit pins the CPU/GPU interleaving in FullSystem mode;
     // Direct mode is already quiescent around every enqueue.
-    rt::SystemConfig cfg =
-        smallCfg(fast_path, mode == rt::Mode::FullSystem);
+    rt::SystemConfig cfg = smallCfg(mode == rt::Mode::FullSystem);
     if (host_threads != 0)
         cfg.gpu.hostThreads = host_threads;
     cfg.gpu.skewSlices = skew_slices;
@@ -703,35 +718,22 @@ runDeterminismScenario(rt::Mode mode, bool fast_path, const char *src,
 
 TEST(SnapshotDeterminism, DirectSgemmFastPath)
 {
-    runDeterminismScenario(rt::Mode::Direct, true, kSgemmSrc, "sgemm");
-}
-
-TEST(SnapshotDeterminism, DirectSgemmLegacyInterp)
-{
-    runDeterminismScenario(rt::Mode::Direct, false, kSgemmSrc, "sgemm");
+    runDeterminismScenario(rt::Mode::Direct, kSgemmSrc, "sgemm");
 }
 
 TEST(SnapshotDeterminism, DirectDivergentFastPath)
 {
-    runDeterminismScenario(rt::Mode::Direct, true, kDivergentSrc,
-                           "divergent");
+    runDeterminismScenario(rt::Mode::Direct, kDivergentSrc, "divergent");
 }
 
 TEST(SnapshotDeterminism, FullSystemSgemmFastPath)
 {
-    runDeterminismScenario(rt::Mode::FullSystem, true, kSgemmSrc,
-                           "sgemm");
-}
-
-TEST(SnapshotDeterminism, FullSystemSgemmLegacyInterp)
-{
-    runDeterminismScenario(rt::Mode::FullSystem, false, kSgemmSrc,
-                           "sgemm");
+    runDeterminismScenario(rt::Mode::FullSystem, kSgemmSrc, "sgemm");
 }
 
 TEST(SnapshotDeterminism, FullSystemDivergentFastPath)
 {
-    runDeterminismScenario(rt::Mode::FullSystem, true, kDivergentSrc,
+    runDeterminismScenario(rt::Mode::FullSystem, kDivergentSrc,
                            "divergent");
 }
 
@@ -742,7 +744,7 @@ TEST(SnapshotDeterminism, FullSystemSgemmMultiWorker)
     // work-stealing path: with the slices skewed onto worker 0, the
     // other seven workers only make progress by stealing, yet every
     // guest-visible artefact must stay a pure function of guest state.
-    runDeterminismScenario(rt::Mode::FullSystem, true, kSgemmSrc,
+    runDeterminismScenario(rt::Mode::FullSystem, kSgemmSrc,
                            "sgemm", /*host_threads=*/8,
                            /*skew_slices=*/true);
 }
@@ -751,7 +753,7 @@ TEST(SnapshotDeterminism, FullSystemSgemmInterpreterCpuTier)
 {
     // Same headline property with the CPU's DBT tier off (interpreter
     // oracle): restore/continue must still equal save/continue.
-    runDeterminismScenario(rt::Mode::FullSystem, true, kSgemmSrc,
+    runDeterminismScenario(rt::Mode::FullSystem, kSgemmSrc,
                            "sgemm", 0, /*skew_slices=*/false,
                            /*cpu_dbt=*/false);
 }
@@ -762,10 +764,10 @@ TEST(SnapshotDeterminism, FullSystemCpuTierInvariant)
     // interpreter must produce bit-identical fingerprints (RAM digest,
     // CPU state, retired instructions, timer, UART, kernel statistics)
     // for the same guest-driver workload.
-    Fingerprint dbt = runDeterminismScenario(rt::Mode::FullSystem, true,
-                                             kSgemmSrc, "sgemm");
+    Fingerprint dbt =
+        runDeterminismScenario(rt::Mode::FullSystem, kSgemmSrc, "sgemm");
     Fingerprint interp = runDeterminismScenario(
-        rt::Mode::FullSystem, true, kSgemmSrc, "sgemm", 0,
+        rt::Mode::FullSystem, kSgemmSrc, "sgemm", 0,
         /*skew_slices=*/false, /*cpu_dbt=*/false);
     expectEqual(dbt, interp);
 }
@@ -808,12 +810,12 @@ TEST(SnapshotDeterminism, FullSystemSgemmWorkerCountInvariant)
     // statistics) must be bit-identical for 1-, 2- and 8-worker pools,
     // because every per-worker contribution merges as a sum or a set
     // union at the job-end barrier.
-    Fingerprint one = runDeterminismScenario(rt::Mode::FullSystem, true,
-                                             kSgemmSrc, "sgemm", 1);
-    Fingerprint two = runDeterminismScenario(rt::Mode::FullSystem, true,
-                                             kSgemmSrc, "sgemm", 2);
+    Fingerprint one =
+        runDeterminismScenario(rt::Mode::FullSystem, kSgemmSrc, "sgemm", 1);
+    Fingerprint two =
+        runDeterminismScenario(rt::Mode::FullSystem, kSgemmSrc, "sgemm", 2);
     Fingerprint eight = runDeterminismScenario(
-        rt::Mode::FullSystem, true, kSgemmSrc, "sgemm", 8,
+        rt::Mode::FullSystem, kSgemmSrc, "sgemm", 8,
         /*skew_slices=*/true);
     expectEqual(one, two);
     expectEqual(one, eight);
