@@ -236,8 +236,8 @@ Core::trap(uint32_t cause, uint32_t tval, Addr epc)
 }
 
 bool
-Core::memLoad(Addr va, unsigned size, bool sign_extend, uint32_t &out,
-              Addr cur_pc)
+Core::memLoadSlow(Addr va, unsigned size, bool sign_extend, uint32_t &out,
+                  Addr cur_pc)
 {
     if (!isAligned(va, size)) {
         trap(kCauseLoadMisaligned, static_cast<uint32_t>(va), cur_pc);

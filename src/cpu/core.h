@@ -28,6 +28,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/bits.h"
 #include "cpu/mmu.h"
 #include "cpu/sa32.h"
 #include "mem/bus.h"
@@ -203,8 +204,35 @@ class Core
      *  mask / check / wfi / unmask wait loop race-free. */
     bool wfiWakePending() const;
 
-    bool memLoad(Addr va, unsigned size, bool sign_extend, uint32_t &out,
-                 Addr cur_pc);
+    /**
+     * Guest data load of @p size (1/2/4) bytes at @p va; traps and
+     * returns false on failure.  Inline so the interpreter and the DBT
+     * load handlers reach RAM with no call: when translation is the
+     * identity (machine mode or bare satp) and the access is aligned
+     * and wholly inside RAM, it reads RAM directly, which is what
+     * memLoadSlow() would do.  Every other load (misaligned, paged,
+     * MMIO, unmapped) takes memLoadSlow().
+     */
+    bool
+    memLoad(Addr va, unsigned size, bool sign_extend, uint32_t &out,
+            Addr cur_pc)
+    {
+        const PhysMem *ram = bus_.memory();
+        if (identityTranslation(priv_, satp_) && isAligned(va, size) &&
+            ram && ram->contains(va, size)) {
+            uint32_t raw = size == 4   ? ram->read<uint32_t>(va)
+                           : size == 2 ? ram->read<uint16_t>(va)
+                                       : ram->read<uint8_t>(va);
+            out = sign_extend ? static_cast<uint32_t>(sext(raw, size * 8))
+                              : raw;
+            return true;
+        }
+        return memLoadSlow(va, size, sign_extend, out, cur_pc);
+    }
+    /** memLoad()'s general path: alignment check, CpuMmu translation,
+     *  then Bus::read (RAM or a device). */
+    bool memLoadSlow(Addr va, unsigned size, bool sign_extend,
+                     uint32_t &out, Addr cur_pc);
     bool memStore(Addr va, unsigned size, uint32_t value, Addr cur_pc);
 };
 

@@ -29,7 +29,7 @@ CpuMmu::translate(Addr va, AccessType type, Priv priv, uint32_t satp)
     TranslateResult res;
 
     // Machine mode, or paging disabled: identity mapping.
-    if (priv == Priv::Machine || !(satp & 0x80000000u)) {
+    if (identityTranslation(priv, satp)) {
         res.ok = true;
         res.pa = va;
         return res;

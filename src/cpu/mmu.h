@@ -34,6 +34,14 @@ enum PteBits : uint32_t
     kPteUser  = 1u << 4,
 };
 
+/** True when translation is the identity: machine mode, or paging off
+ *  (satp bit 31 clear). */
+constexpr bool
+identityTranslation(Priv priv, uint32_t satp)
+{
+    return priv == Priv::Machine || !(satp & 0x80000000u);
+}
+
 /** Kind of access being translated. */
 enum class AccessType { Fetch, Load, Store };
 

@@ -116,8 +116,8 @@ class SliceDeque
     push(GroupSlice s)
     {
         int64_t b = bottom_.load(std::memory_order_relaxed);
-        int64_t t = top_.load(std::memory_order_acquire);
-        assert(b - t < static_cast<int64_t>(ring_.size()));
+        assert(b - top_.load(std::memory_order_acquire) <
+               static_cast<int64_t>(ring_.size()));
         ring_[static_cast<size_t>(b) & mask_].store(
             s.pack(), std::memory_order_relaxed);
         std::atomic_thread_fence(std::memory_order_release);

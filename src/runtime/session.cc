@@ -191,13 +191,31 @@ Session::load(const kclc::CompiledKernel &kernel)
     return h;
 }
 
+namespace {
+
+/** The guest OS image every session boots.  It is a pure function of
+ *  the default layout and the constant System device bases, so it is
+ *  assembled once per process, on first use (a function-local static
+ *  is initialised exactly once even when sessions boot concurrently),
+ *  and shared read-only from then on. */
+const sa32::Program &
+osImage()
+{
+    static const sa32::Program os = guestos::buildOs(
+        guestos::defaultLayout(System::kRamBase), System::kUartBase,
+        System::kIntcBase, System::kGpuBase, System::kGpuIntcLine);
+    return os;
+}
+
+} // namespace
+
 void
 Session::bootOs()
 {
-    sa32::Program os = guestos::buildOs(
-        layout_, System::kUartBase, System::kIntcBase, System::kGpuBase,
-        System::kGpuIntcLine);
-    os.loadInto(sys_.mem());
+    // The OS image is shared and already assembled (layout_ is always
+    // the default layout it was built for): a boot only copies it into
+    // RAM and runs its init code.
+    osImage().loadInto(sys_.mem());
     sys_.cpu().flushCodeCache();
     sys_.cpu().setPc(layout_.base);
 

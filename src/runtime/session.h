@@ -283,6 +283,9 @@ class Session
     Addr allocPhys(size_t bytes, size_t align = 4096);
     uint32_t mapRange(Addr pa, size_t bytes, bool writable);
     void installMapHost(const MapEntry &e);
+    /** Cold-boots the guest OS: copies the once-per-process OS image
+     *  into RAM, zeroes the mailbox and runs the OS's init code (a
+     *  10000-instruction budget) into its mailbox poll loop. */
     void bootOs();
     void mailboxCommand(uint32_t cmd, uint32_t desc_va);
     gpu::JobResult submitDirect(uint32_t desc_va);

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "cpu/asm/assembler.h"
 #include "cpu/core.h"
 #include "cpu/dbt.h"
@@ -566,7 +571,8 @@ loop:
 class LockstepTest : public ::testing::Test
 {
   protected:
-    LockstepTest() : memA(kBase, 1 << 20), memB(kBase, 1 << 20)
+    explicit LockstepTest(size_t ram_bytes = 1 << 20)
+        : memA(kBase, ram_bytes), memB(kBase, ram_bytes)
     {
         busA.attachMemory(&memA);
         busB.attachMemory(&memB);
@@ -579,9 +585,10 @@ class LockstepTest : public ::testing::Test
     }
 
     void
-    load(const std::string &body)
+    load(const std::string &body,
+         const std::map<std::string, Addr> &predefined = {})
     {
-        Program p = assemble("        .org 0x80000000\n" + body);
+        Program p = assemble("        .org 0x80000000\n" + body, predefined);
         p.loadInto(memA);
         p.loadInto(memB);
         dbt->reset();
@@ -797,6 +804,249 @@ loop:
     )");
     runLockstep(4000, 17);
     EXPECT_GT(dbt->stats().dbtChainBreaks + dbt->stats().dbtRetires, 0u);
+}
+
+// Edge cases of the inline RAM load path (machine mode or bare satp,
+// aligned, wholly inside RAM) against the out-of-line path that serves
+// every other load: both tiers must agree, and on the right values.
+
+/** Trap handler for the load edge-case tests.  Each synchronous trap
+ *  appends (mcause, mtval) to a log at kTrapLog, 0x80008000 (word 0
+ *  counts the entries, entry k sits at +8+8k) and resumes after the
+ *  trapping instruction.  The count is read back with a machine-mode
+ *  load, so it stays physical even while user paging is on. */
+constexpr Addr kTrapLog = kBase + 0x8000;
+constexpr const char *kLogTrapsHandler = R"(
+handler:
+        li   t2, 0x80008000
+        lw   t3, 0(t2)
+        addi t1, t3, 1
+        sw   t1, 0(t2)
+        slli t3, t3, 3
+        add  t2, t2, t3
+        csrr t0, mcause
+        sw   t0, 8(t2)
+        csrr t0, mtval
+        sw   t0, 12(t2)
+        csrr t0, mepc
+        addi t0, t0, 4
+        csrw mepc, t0
+        mret
+)";
+
+/** (mcause, mtval) of each trap, in order. */
+using TrapLog = std::vector<std::pair<uint32_t, uint32_t>>;
+
+/** The traps kLogTrapsHandler logged into @p mem. */
+TrapLog
+trapLog(const PhysMem &mem)
+{
+    TrapLog log;
+    uint32_t n = mem.read<uint32_t>(kTrapLog);
+    for (uint32_t k = 0; k < n; ++k)
+        log.emplace_back(mem.read<uint32_t>(kTrapLog + 8 + 8 * k),
+                         mem.read<uint32_t>(kTrapLog + 12 + 8 * k));
+    return log;
+}
+
+TEST_F(LockstepTest, LoadsAtTheLastBytesOfRam)
+{
+    // RAM is [0x80000000, 0x80100000); its last word holds 0xF0E17F83.
+    load(std::string(R"(
+        la   t0, handler
+        csrw mtvec, t0
+        li   s0, 0x800FFFFC
+        li   s1, 0xF0E17F83
+        sw   s1, 0(s0)
+        lb   a0, 0(s0)
+        lbu  a1, 0(s0)
+        lb   a2, 1(s0)
+        lb   a3, 3(s0)            # RAM's last byte
+        lbu  a4, 3(s0)
+        lh   a5, 0(s0)
+        lh   a6, 2(s0)            # RAM's last half-word
+        lhu  a7, 2(s0)
+        lw   s2, 0(s0)            # RAM's last word
+        lw   s3, 4(s0)            # one past RAM's end: load fault
+        lh   s4, 1(s0)            # misaligned inside RAM
+        lw   s5, 2(s0)            # misaligned across RAM's end
+        lbu  s6, 4(s0)            # one byte past RAM's end
+        halt
+    )") + kLogTrapsHandler);
+    runLockstep(4000, 7);
+    EXPECT_EQ(dbt->reg(10), 0xFFFFFF83u);   // lb: sign-extended
+    EXPECT_EQ(dbt->reg(11), 0x83u);         // lbu
+    EXPECT_EQ(dbt->reg(12), 0x7Fu);         // lb: positive byte
+    EXPECT_EQ(dbt->reg(13), 0xFFFFFFF0u);
+    EXPECT_EQ(dbt->reg(14), 0xF0u);
+    EXPECT_EQ(dbt->reg(15), 0x7F83u);       // lh: positive half
+    EXPECT_EQ(dbt->reg(16), 0xFFFFF0E1u);
+    EXPECT_EQ(dbt->reg(17), 0xF0E1u);
+    EXPECT_EQ(dbt->reg(18), 0xF0E17F83u);
+    for (unsigned r = 19; r <= 22; ++r)
+        EXPECT_EQ(dbt->reg(r), 0u) << "x" << r << " must not be written";
+    TrapLog want = {{kCauseLoadFault, 0x80100000u},
+                    {kCauseLoadMisaligned, 0x800FFFFDu},
+                    {kCauseLoadMisaligned, 0x800FFFFEu},
+                    {kCauseLoadFault, 0x80100000u}};
+    EXPECT_EQ(trapLog(memA), want);
+    EXPECT_EQ(trapLog(memB), want);
+}
+
+/** RAM two bytes short of a word multiple, so an aligned word load
+ *  can straddle RAM's end. */
+class LockstepShortRamTest : public LockstepTest
+{
+  protected:
+    LockstepShortRamTest() : LockstepTest((1 << 20) - 2) {}
+};
+
+TEST_F(LockstepShortRamTest, WordLoadStraddlingRamEndFaults)
+{
+    // RAM is [0x80000000, 0x800FFFFE): the aligned word at 0x800FFFFC
+    // has only its low half inside.
+    load(std::string(R"(
+        la   t0, handler
+        csrw mtvec, t0
+        li   s0, 0x800FFFFC
+        li   s1, 0x8001
+        sh   s1, 0(s0)
+        lh   a0, 0(s0)            # the last half-word still loads
+        lhu  a1, 0(s0)
+        lw   a2, 0(s0)            # straddles RAM's end: load fault
+        lh   a3, 2(s0)            # wholly past RAM's end: load fault
+        halt
+    )") + kLogTrapsHandler);
+    runLockstep(4000, 5);
+    EXPECT_EQ(dbt->reg(10), 0xFFFF8001u);
+    EXPECT_EQ(dbt->reg(11), 0x8001u);
+    EXPECT_EQ(dbt->reg(12), 0u);
+    EXPECT_EQ(dbt->reg(13), 0u);
+    TrapLog want = {{kCauseLoadFault, 0x800FFFFCu},
+                    {kCauseLoadFault, 0x800FFFFEu}};
+    EXPECT_EQ(trapLog(memA), want);
+    EXPECT_EQ(trapLog(memB), want);
+}
+
+/** An MMIO register file that numbers its reads, so a test can tell a
+ *  load that reached the device from one served by RAM. */
+class CountingDevice : public Device
+{
+  public:
+    uint32_t
+    mmioRead(Addr offset) override
+    {
+        ++reads;
+        return 0xD0000000u | (reads << 8) | static_cast<uint32_t>(offset);
+    }
+    void mmioWrite(Addr, uint32_t) override {}
+    std::string name() const override { return "counting"; }
+
+    uint32_t reads = 0;
+};
+
+TEST_F(LockstepTest, MachineModeMmioLoadsReachTheDevice)
+{
+    CountingDevice devA, devB;
+    busA.attachDevice(0x10000000, 0x1000, &devA);
+    busB.attachDevice(0x10000000, 0x1000, &devB);
+    load(std::string(R"(
+        la   t0, handler
+        csrw mtvec, t0
+        li   s0, 0x10000000
+        lw   a0, 0(s0)
+        lw   a1, 4(s0)
+        lb   a2, 0(s0)            # devices take 4-byte accesses only
+        lw   a3, 2(s0)            # misaligned: traps before the bus
+        halt
+    )") + kLogTrapsHandler);
+    runLockstep(4000, 3);
+    EXPECT_EQ(dbt->reg(10), 0xD0000100u);
+    EXPECT_EQ(dbt->reg(11), 0xD0000204u);
+    EXPECT_EQ(dbt->reg(12), 0u);
+    EXPECT_EQ(dbt->reg(13), 0u);
+    EXPECT_EQ(devA.reads, 2u);
+    EXPECT_EQ(devB.reads, 2u);
+    TrapLog want = {{kCauseLoadFault, 0x10000000u},
+                    {kCauseLoadMisaligned, 0x10000002u}};
+    EXPECT_EQ(trapLog(memA), want);
+    EXPECT_EQ(trapLog(memB), want);
+}
+
+TEST_F(LockstepTest, UserModePagedLoadsWalkAndFault)
+{
+    // Page tables (identical in both RAMs, one level-0 table shared by
+    // both level-1 entries): user code at VA 0x00400000, a user-readable
+    // data page at 0x80042000, a machine-only page at 0x80043000, and
+    // 0x80044000 unmapped.  The data VAs are also RAM physical
+    // addresses, so a load that skipped translation would read RAM
+    // instead of faulting or reading the mapped page.
+    const Addr root = kBase + 0x10000, l0 = kBase + 0x11000;
+    const Addr code_pa = kBase + 0x40000, data_pa = kBase + 0x41000;
+    auto map = [&](uint32_t va, Addr pa, uint32_t perms) {
+        for (PhysMem *m : {&memA, &memB}) {
+            m->write<uint32_t>(root + (va >> 22) * 4,
+                               static_cast<uint32_t>((l0 >> 12) << 10) |
+                                   kPteValid);
+            m->write<uint32_t>(l0 + ((va >> 12) & 0x3ff) * 4,
+                               static_cast<uint32_t>((pa >> 12) << 10) |
+                                   perms | kPteValid);
+        }
+    };
+    load(std::string(R"(
+        la   t0, handler
+        csrw mtvec, t0
+        li   t0, SATP
+        csrw satp, t0
+        li   t0, 0x00400000
+        csrw mepc, t0
+        li   t0, 0x80             # MPIE, MPP = User
+        csrw mstatus, t0
+        mret
+    )") + kLogTrapsHandler,
+         {{"SATP", 0x80000000u | static_cast<uint32_t>(root >> 12)}});
+    Program user = assemble(R"(
+        .org 0x00400000
+        li   s0, 0x80042000
+        lw   a0, 0(s0)            # walks the page table
+        lbu  a1, 3(s0)
+        lh   a2, 6(s0)
+        lw   a5, 2(s0)            # misaligned: traps before the walk
+        li   s0, 0x80043000
+        lw   a3, 0(s0)            # no user bit: load page fault
+        li   s0, 0x80044000
+        lw   a4, 0(s0)            # unmapped: load page fault
+        halt
+    )");
+    for (PhysMem *m : {&memA, &memB}) {
+        m->writeBlock(code_pa, user.bytes.data(), user.bytes.size());
+        m->write<uint32_t>(data_pa, 0x8081F2F3u);
+        m->write<uint32_t>(data_pa + 4, 0x80012345u);
+    }
+    map(0x00400000, code_pa, kPteRead | kPteExec | kPteUser);
+    map(0x80042000, data_pa, kPteRead | kPteUser);
+    map(0x80043000, data_pa, kPteRead);
+
+    runLockstep(4000, 3);
+    EXPECT_EQ(dbt->priv(), Priv::User);
+    EXPECT_EQ(dbt->reg(10), 0x8081F2F3u);
+    EXPECT_EQ(dbt->reg(11), 0x80u);
+    EXPECT_EQ(dbt->reg(12), 0xFFFF8001u);
+    EXPECT_EQ(dbt->reg(13), 0u);
+    EXPECT_EQ(dbt->reg(14), 0u);
+    EXPECT_EQ(dbt->reg(15), 0u);
+    TrapLog want = {{kCauseLoadMisaligned, 0x80042002u},
+                    {kCauseLoadPageFault, 0x80043000u},
+                    {kCauseLoadPageFault, 0x80044000u}};
+    EXPECT_EQ(trapLog(memA), want);
+    EXPECT_EQ(trapLog(memB), want);
+    // The loads went through CpuMmu on both tiers, identically.
+    const MmuStats &ma = dbt->mmu().stats(), &mb = interp->mmu().stats();
+    EXPECT_GT(ma.pageWalks, 0u);
+    EXPECT_EQ(ma.pageWalks, mb.pageWalks);
+    EXPECT_EQ(ma.tlbHits, mb.tlbHits);
+    EXPECT_EQ(ma.tlbMisses, mb.tlbMisses);
+    EXPECT_EQ(ma.faults, mb.faults);
 }
 
 } // namespace

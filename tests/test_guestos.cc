@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <thread>
+#include <vector>
+
 #include "guestos/guest_os.h"
 #include "runtime/session.h"
 
@@ -33,6 +37,77 @@ TEST(GuestOs, AssemblesForPlatformAddresses)
     EXPECT_GT(os.bytes.size(), 200u);
     EXPECT_NO_THROW(os.symbol("trap_handler"));
     EXPECT_NO_THROW(os.symbol("install_mappings"));
+}
+
+/** The architectural state a FullSystem session is left in by its cold
+ *  boot: whole-RAM CRC, retired instructions, PC and the 16 mailbox
+ *  words. */
+struct BootState
+{
+    uint32_t ramCrc = 0;
+    uint64_t instret = 0;
+    Addr pc = 0;
+    std::array<uint32_t, 16> mailbox{};
+};
+
+BootState
+bootState()
+{
+    Session s(SystemConfig(), Mode::FullSystem);
+    BootState b;
+    b.ramCrc = s.system().mem().crc();
+    b.instret = s.system().cpu().stats().instret;
+    b.pc = s.system().cpu().pc();
+    Layout lay = defaultLayout(System::kRamBase);
+    for (unsigned i = 0; i < b.mailbox.size(); ++i)
+        b.mailbox[i] = s.system().mem().read<uint32_t>(lay.mailbox + 4 * i);
+    return b;
+}
+
+/** Golden post-boot state, recorded with the OS assembled on every boot
+ *  and every guest load on the general path.  Sharing the image and the
+ *  inline RAM load path are pure speedups: a boot must land exactly
+ *  here. */
+const BootState kGoldenBoot = {
+    .ramCrc = 0xbb4c9fb5u,
+    .instret = 10001,   // The 10000-instruction budget plus one.
+    .pc = 0x8000005c,   // Inside the mailbox poll loop.
+    .mailbox = {},      // The guest leaves the mailbox zeroed.
+};
+
+void
+expectGolden(const BootState &got, const char *where)
+{
+    const BootState &want = kGoldenBoot;
+    EXPECT_EQ(got.ramCrc, want.ramCrc) << where;
+    EXPECT_EQ(got.instret, want.instret) << where;
+    EXPECT_EQ(got.pc, want.pc) << where;
+    for (unsigned i = 0; i < want.mailbox.size(); ++i)
+        EXPECT_EQ(got.mailbox[i], want.mailbox[i])
+            << where << ": mailbox word " << i;
+}
+
+// Defined before every other test that boots a session, so that in a
+// full run of this binary these boots are the process's first and race
+// to build the shared OS image.
+TEST(GuestOs, ConcurrentBootsMatchGoldenState)
+{
+    constexpr int kThreads = 4;
+    std::vector<BootState> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&got, t] { got[t] = bootState(); });
+    for (std::thread &th : threads)
+        th.join();
+    for (int t = 0; t < kThreads; ++t)
+        expectGolden(got[t], ("thread " + std::to_string(t)).c_str());
+}
+
+TEST(GuestOs, BootMatchesGoldenState)
+{
+    // Several boots in one process, all from the one shared OS image.
+    for (int i = 0; i < 3; ++i)
+        expectGolden(bootState(), ("boot " + std::to_string(i)).c_str());
 }
 
 TEST(GuestOs, DriverInstallsPageTablesTheGpuWalks)
